@@ -63,18 +63,25 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_roi(spec: str, dims: tuple[int, int, int]) -> np.ndarray:
-    parts = spec.split(",")
-    if len(parts) != 6:
-        raise ParameterError(f"--roi needs 6 comma-separated integers, got {spec!r}")
+def _parse_roi(spec: str | list, dims: tuple[int, int, int]) -> np.ndarray:
+    """Half-open voxel box x0,y0,z0,x1,y1,z1 from a --roi string or a config list.
+
+    Every axis must satisfy 0 <= lo < hi <= dim: no negative (wrapped) index,
+    no clipping, no empty box.
+    """
+    parts = spec.split(",") if isinstance(spec, str) else spec
     try:
-        x0, y0, z0, x1, y1, z1 = (int(v) for v in parts)
-    except ValueError as exc:
-        raise ParameterError(f"--roi values must be integers, got {spec!r}") from exc
+        # bools and floats are dropped here: int() would truncate them silently
+        bounds = [int(v) for v in parts if not isinstance(v, (bool, float))]
+    except (TypeError, ValueError):
+        bounds = []
+    if len(bounds) != 6 or len(bounds) != len(parts):
+        raise ParameterError(f"roi needs 6 integers x0,y0,z0,x1,y1,z1, got {spec!r}")
+    if not all(0 <= bounds[i] < bounds[i + 3] <= dims[i] for i in range(3)):
+        raise ParameterError(f"roi {spec!r} needs 0 <= lo < hi <= dim on each axis of {dims}")
+    x0, y0, z0, x1, y1, z1 = bounds
     box = np.zeros(dims, dtype=bool)
     box[x0:x1, y0:y1, z0:z1] = True
-    if not box.any():
-        raise ParameterError(f"--roi {spec!r} selects no voxels")
     return box
 
 
@@ -120,13 +127,8 @@ def _load_seg_config(args) -> dict:
 def _segment_volume(vol, cfg: dict) -> tuple[BinaryMask, dict]:
     if cfg["roi"] is None:
         roi = BinaryMask(np.ones(vol.dims, dtype=bool), vol.spacing)
-    elif isinstance(cfg["roi"], str):
-        roi = BinaryMask(_parse_roi(cfg["roi"], vol.dims), vol.spacing)
     else:
-        x0, y0, z0, x1, y1, z1 = (int(v) for v in cfg["roi"])
-        box = np.zeros(vol.dims, dtype=bool)
-        box[x0:x1, y0:y1, z0:z1] = True
-        roi = BinaryMask(box, vol.spacing)
+        roi = BinaryMask(_parse_roi(cfg["roi"], vol.dims), vol.spacing)
     info: dict = {"method": cfg["method"]}
     if cfg["method"] == "pct_suvmax":
         mask = threshold_pct_suvmax(vol, roi, float(cfg["pct"]))
@@ -175,22 +177,9 @@ def _cmd_segment(args) -> int:
             row.append("" if entry.weight_kg is None else entry.weight_kg)
             return row
 
-        threads = args.threads
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(seg_one, entries))
-        else:
-            rows = [seg_one(e) for e in entries]
+        rows = cohort_mod.parallel_map(seg_one, entries, args.threads)
         manifest_path = out / "manifest.csv"
-        write_text_atomic(
-            manifest_path,
-            dumps_csv(
-                ["patient_id", "bl_volume", "bl_mask", "fu_volume", "fu_mask", "dose_MBq", "weight_kg"],
-                rows,
-            ),
-        )
+        write_text_atomic(manifest_path, dumps_csv(cohort_mod.MANIFEST_COLUMNS, rows))
         _emit({"manifest": str(manifest_path), "patients": len(rows)}, None)
         return 0
 
@@ -300,11 +289,8 @@ def _cmd_delta(args) -> int:
 
 
 def _threshold_from_args(args) -> QcThreshold | None:
-    if getattr(args, "threshold", None) is not None:
-        return fixed_threshold(args.threshold)
-    if getattr(args, "derive_threshold", False):
-        return None  # derived from the cohort downstream
-    return None
+    """A fixed --threshold, or None: derive it from the cohort downstream."""
+    return None if args.threshold is None else fixed_threshold(args.threshold)
 
 
 def _cmd_qc(args) -> int:

@@ -1,17 +1,18 @@
 """Cohort manifest handling and the QC / report pipelines.
 
-A manifest is a CSV with columns patient_id, bl_volume, bl_mask, fu_volume,
-fu_mask, dose_MBq, weight_kg (paths relative to the manifest). When dose and
-weight are present the volumes are read as activity concentration and
-converted to SUV; otherwise they are taken as SUV already.
+A manifest is a CSV with the columns of `MANIFEST_COLUMNS`, the schema's one
+definition (paths relative to the manifest). When dose_MBq and weight_kg are
+both given the volumes are read as activity concentration and converted to
+SUV; when both are empty they are taken as SUV already.
 
-Patient-level work runs on a thread pool; results are reduced in manifest
-order, so reports are byte-identical for any thread count.
+Patient-level work runs through `parallel_map`; results are reduced in
+manifest order, so reports are byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,14 +21,41 @@ import numpy as np
 
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
 from .errors import ManifestError
-from .mask import BinaryMask, Quadrant, centroid, regrid_nearest
+from .mask import BinaryMask, Quadrant
 from .nifti import read_mask, read_volume, write_mask, write_volume
-from .qc import QcRecord, QcThreshold, build_record, derive_threshold, select_extreme_outliers
+from .qc import (
+    QcRecord,
+    QcThreshold,
+    build_record,
+    derive_threshold,
+    quadrant_on_grid,
+    select_extreme_outliers,
+)
 from .serialize import dumps_csv, dumps_json, write_text_atomic
 from .stats import boxplot_summary, paired_ttest
 from .volume import AcquisitionInfo, IntensityUnit, Volume3D, to_suv
 
-REQUIRED_COLUMNS = ["patient_id", "bl_volume", "bl_mask", "fu_volume", "fu_mask"]
+MANIFEST_COLUMNS = [
+    "patient_id",
+    "bl_volume",
+    "bl_mask",
+    "fu_volume",
+    "fu_mask",
+    "dose_MBq",
+    "weight_kg",
+]
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] on up to `threads` threads, in input order.
+
+    threads <= 1 calls fn inline on the calling thread. A worker's exception
+    propagates to the caller.
+    """
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -47,7 +75,7 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
     seen: set[str] = set()
     with open(p, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in REQUIRED_COLUMNS if c not in (reader.fieldnames or [])]
+        missing = [c for c in MANIFEST_COLUMNS[:5] if c not in (reader.fieldnames or [])]
         if missing:
             raise ManifestError(f"{p}: manifest missing columns {missing}")
         for lineno, row in enumerate(reader, start=2):
@@ -66,8 +94,16 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
                     val = float(raw)
                 except ValueError as exc:
                     raise ManifestError(f"{p}:{lineno}: bad {col} value {raw!r}") from exc
-                return val if val > 0 else None
+                if not (math.isfinite(val) and val > 0):
+                    raise ManifestError(
+                        f"{p}:{lineno}: {col} must be positive and finite, got {raw!r}"
+                    )
+                return val
 
+            dose, weight = _num("dose_MBq"), _num("weight_kg")
+            if (dose is None) != (weight is None):
+                # a lone value would read kBq/mL volumes as SUV
+                raise ManifestError(f"{p}:{lineno}: dose_MBq and weight_kg must be given together")
             entries.append(
                 CohortEntry(
                     pid,
@@ -75,8 +111,8 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
                     p.parent / row["bl_mask"],
                     p.parent / row["fu_volume"],
                     p.parent / row["fu_mask"],
-                    _num("dose_MBq"),
-                    _num("weight_kg"),
+                    dose,
+                    weight,
                 )
             )
     if not entries:
@@ -100,9 +136,7 @@ class PatientQuant:
     followup: BiomarkerSet
     change: DeltaSet
     bl_quadrant: Quadrant | None
-    fu_quadrant: Quadrant | None
-    bl_dims: tuple[int, int, int]
-    fu_dims: tuple[int, int, int]
+    fu_quadrant: Quadrant | None  # both on the baseline grid; None: empty there
 
 
 def _quantify_one(entry: CohortEntry) -> PatientQuant:
@@ -110,42 +144,41 @@ def _quantify_one(entry: CohortEntry) -> PatientQuant:
     fu_mask = read_mask(entry.fu_mask)
     bl_bio = extract(_read_suv(entry.bl_volume, entry), bl_mask)
     fu_bio = extract(_read_suv(entry.fu_volume, entry), fu_mask)
-    bl_q = None if bl_mask.is_empty else centroid(bl_mask).quadrant
-    fu_q = None if fu_mask.is_empty else centroid(fu_mask).quadrant
-    return PatientQuant(
-        entry, bl_bio, fu_bio, delta(bl_bio, fu_bio), bl_q, fu_q, bl_mask.dims, fu_mask.dims
-    )
+    bl_q = quadrant_on_grid(bl_mask, bl_mask.dims)
+    fu_q = quadrant_on_grid(fu_mask, bl_mask.dims)
+    return PatientQuant(entry, bl_bio, fu_bio, delta(bl_bio, fu_bio), bl_q, fu_q)
 
 
 def quantify_cohort(entries: list[CohortEntry], threads: int = 1) -> list[PatientQuant]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_quantify_one, entries))
-    return [_quantify_one(e) for e in entries]
+    return parallel_map(_quantify_one, entries, threads)
 
 
-def _qc_records(quants: list[PatientQuant], thr: QcThreshold) -> list[QcRecord]:
+def _qc_records(
+    quants: list[PatientQuant], thr: QcThreshold | None
+) -> tuple[QcThreshold, list[QcRecord]]:
+    """Both QC steps for every patient, in manifest order.
+
+    With no threshold, one is derived from the finite MTV ratios of the cohort.
+    """
+    if thr is None:
+        thr = derive_threshold(
+            q.change.mtv_ratio for q in quants if q.change.mtv_ratio is not None
+        )
     records = []
     for q in quants:
         if q.bl_quadrant is None or q.fu_quadrant is None:
             raise ManifestError(f"patient {q.entry.patient_id}: empty mask, cannot run QC")
-        fu_quadrant = q.fu_quadrant
-        if q.fu_dims != q.bl_dims:
-            # index-relative quadrants need a shared grid
-            fu_quadrant = centroid(
-                regrid_nearest(read_mask(q.entry.fu_mask), q.bl_dims)
-            ).quadrant
         records.append(
             build_record(
                 q.entry.patient_id,
                 q.bl_quadrant,
-                fu_quadrant,
+                q.fu_quadrant,
                 q.baseline.mtv_cm3,
                 q.followup.mtv_cm3,
                 thr,
             )
         )
-    return records
+    return thr, records
 
 
 def export_annotation_batch(
@@ -189,10 +222,7 @@ def run_qc(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     quants = quantify_cohort(entries, threads)
-    if threshold is None:
-        ratios = [q.change.mtv_ratio for q in quants if q.change.mtv_ratio is not None]
-        threshold = derive_threshold(ratios)
-    records = _qc_records(quants, threshold)
+    threshold, records = _qc_records(quants, threshold)
     extreme = select_extreme_outliers(records, select_extreme) if select_extreme > 0 else []
 
     rows = []
@@ -239,6 +269,13 @@ def run_qc(
     if extreme:
         export_annotation_batch(extreme, entries, out / "annotation_batch")
     return summary
+
+
+_PANELS = (
+    ("suv_max", lambda b: b.suv_max),
+    ("mtv_cm3", lambda b: b.mtv_cm3),
+    ("tlg", lambda b: b.tlg),
+)
 
 
 def run_report(
@@ -295,21 +332,15 @@ def run_report(
     )
 
     panels = {}
-    for key, pick in (
-        ("suv_max", lambda b: b.suv_max),
-        ("mtv_cm3", lambda b: b.mtv_cm3),
-        ("tlg", lambda b: b.tlg),
-    ):
+    for key, pick in _PANELS:
         panels[key] = {
             "baseline": boxplot_summary([pick(q.baseline) for q in quants]).as_dict(),
             "followup": boxplot_summary([pick(q.followup) for q in quants]).as_dict(),
         }
     write_text_atomic(out / "boxplot.json", dumps_json(panels))
 
-    if threshold is None:
-        ratios = [q.change.mtv_ratio for q in quants if q.change.mtv_ratio is not None]
-        threshold = derive_threshold(ratios)
-    records = _qc_records(quants, threshold)
+    # after the three files above, so an empty mask still leaves them written
+    threshold, records = _qc_records(quants, threshold)
     scatter_rows = [
         [q.baseline.mtv_cm3, r.mtv_ratio, not r.validated]
         for q, r in zip(quants, records)
@@ -319,11 +350,7 @@ def run_report(
     )
 
     stats_payload: dict = {"n": len(quants), "threshold": threshold.value, "delta": {}}
-    for key, pick in (
-        ("suv_max", lambda b: b.suv_max),
-        ("mtv_cm3", lambda b: b.mtv_cm3),
-        ("tlg", lambda b: b.tlg),
-    ):
+    for key, pick in _PANELS:
         before = [pick(q.baseline) for q in quants]
         after = [pick(q.followup) for q in quants]
         diffs = [a - b for a, b in zip(after, before)]

@@ -116,28 +116,30 @@ def centroid(mask: BinaryMask) -> Centroid:
     return Centroid((pos[0], pos[1], pos[2]), quadrant_of(pos[0], pos[1], mask.dims))
 
 
-def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[BinaryMask]:
-    """Disjoint components, largest first.
+def _labels_by_size(mask: BinaryMask, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label image plus its component labels, largest first.
 
     Ties break on the smallest linearized seed index; scipy labels in scan
-    order, so ascending label id is exactly that order.
+    order, so ascending label id is exactly that order (the stable sort
+    keeps it).
     """
-    labeled, n = ndimage.label(mask.bits, structure=_structure(connectivity))
-    if n == 0:
-        return []
-    counts = np.bincount(labeled.ravel())
-    order = sorted(range(1, n + 1), key=lambda lab: (-counts[lab], lab))
+    labeled, _ = ndimage.label(mask.bits, structure=_structure(connectivity))
+    counts = np.bincount(labeled.ravel())[1:]
+    return labeled, np.argsort(-counts, kind="stable") + 1
+
+
+def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[BinaryMask]:
+    """Disjoint components, largest first (see `_labels_by_size` for ties)."""
+    labeled, order = _labels_by_size(mask, connectivity)
     return [BinaryMask(labeled == lab, mask.spacing) for lab in order]
 
 
 def largest_component(mask: BinaryMask, connectivity: int = 26) -> BinaryMask:
     """Largest component only (empty in, empty out); avoids materializing the rest."""
-    labeled, n = ndimage.label(mask.bits, structure=_structure(connectivity))
-    if n == 0:
+    labeled, order = _labels_by_size(mask, connectivity)
+    if order.size == 0:
         return mask
-    counts = np.bincount(labeled.ravel())
-    best = min(range(1, n + 1), key=lambda lab: (-counts[lab], lab))
-    return BinaryMask(labeled == best, mask.spacing)
+    return BinaryMask(labeled == order[0], mask.spacing)
 
 
 def fill_holes(mask: BinaryMask) -> BinaryMask:
@@ -176,18 +178,6 @@ def boundary_voxels(mask: BinaryMask) -> np.ndarray:
         & padded[1:-1, 1:-1, 2:]
     )
     return np.argwhere(bits & ~interior)
-
-
-def translate(mask: BinaryMask, offset: tuple[int, int, int]) -> BinaryMask:
-    """Shift foreground by an integer voxel offset; must stay in bounds."""
-    coords = np.argwhere(mask.bits) + np.asarray(offset, dtype=np.int64)
-    if mask.voxel_count and (
-        coords.min(axis=0).min() < 0 or (coords >= np.asarray(mask.dims)).any()
-    ):
-        raise ParameterError(f"translation {offset} moves voxels out of bounds")
-    out = np.zeros(mask.dims, dtype=bool)
-    out[coords[:, 0], coords[:, 1], coords[:, 2]] = True
-    return BinaryMask(out, mask.spacing)
 
 
 def resample_mask(mask: BinaryMask, target_spacing: tuple[float, float, float]) -> BinaryMask:

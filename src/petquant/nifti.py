@@ -9,8 +9,8 @@ Two formats are supported:
 * a JSON sidecar ``{dims, spacing_mm, unit, data}`` pointing at a raw
   little-endian float32 file, convenient for tests.
 
-Writing is atomic (temp file + rename). Volumes are written as float32,
-masks as uint8 0/1; reading promotes to the internal float64.
+Writing is atomic (``serialize.write_bytes_atomic``). Volumes are written
+as float32, masks as uint8 0/1; reading promotes to the internal float64.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import VolumeDataError, VolumeFormatError
 from .mask import BinaryMask
+from .serialize import write_bytes_atomic
 from .volume import IntensityUnit, Volume3D
 
 HEADER_SIZE = 348
@@ -82,18 +83,6 @@ _HEADER_DTYPE = np.dtype(
     ]
 )
 assert _HEADER_DTYPE.itemsize == HEADER_SIZE
-
-
-def _atomic_write_bytes(path: Path, *chunks: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise OSError(f"failed writing {path}: {exc}") from exc
 
 
 def _parse_header(raw: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[float, float, float], int, float, float, int]:
@@ -245,12 +234,12 @@ def write_volume(vol: Volume3D, path: str | os.PathLike) -> None:
             "data": raw_name,
         }
         data32 = vol.values.astype("<f4", order="F")
-        _atomic_write_bytes(p.parent / raw_name, data32.tobytes(order="F"))
-        _atomic_write_bytes(p, json.dumps(meta, indent=2).encode() + b"\n")
+        write_bytes_atomic(p.parent / raw_name, data32.tobytes(order="F"))
+        write_bytes_atomic(p, json.dumps(meta, indent=2).encode() + b"\n")
         return
     if p.suffix == ".nii":
         data32 = vol.values.astype("<f4", order="F")
-        _atomic_write_bytes(
+        write_bytes_atomic(
             p, _nifti_header(data32.shape, vol.spacing, datatype=16), data32.tobytes(order="F")
         )
         return
@@ -277,7 +266,7 @@ def write_mask(mask: BinaryMask, path: str | os.PathLike) -> None:
     p = Path(path)
     if p.suffix == ".nii":
         data8 = mask.bits.astype("<u1", order="F")
-        _atomic_write_bytes(
+        write_bytes_atomic(
             p, _nifti_header(data8.shape, mask.spacing, datatype=2), data8.tobytes(order="F")
         )
         return

@@ -13,17 +13,17 @@ parallel generation never changes the output bytes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .biomarkers import BiomarkerSet
+from .cohort import MANIFEST_COLUMNS, parallel_map
 from .errors import LesionSpecError, ParameterError
 from .mask import BinaryMask
-from .nifti import _atomic_write_bytes, _nifti_bytes
-from .serialize import dumps_csv, dumps_json, write_text_atomic
+from .nifti import _nifti_bytes
+from .serialize import dumps_csv, dumps_json, write_bytes_atomic, write_text_atomic
 from .volume import IntensityUnit, Volume3D
 
 DEFAULT_DIMS = (144, 144, 66)
@@ -159,17 +159,6 @@ class ResponseModel:
             raise ParameterError("outlier_ratio_min must be > 0")
 
 
-MANIFEST_COLUMNS = [
-    "patient_id",
-    "bl_volume",
-    "bl_mask",
-    "fu_volume",
-    "fu_mask",
-    "dose_MBq",
-    "weight_kg",
-]
-
-
 def generate_cohort(
     n: int,
     response: ResponseModel,
@@ -249,12 +238,12 @@ def generate_cohort(
 
         pid = f"p{i:04d}"
         names = [f"{pid}_bl.nii", f"{pid}_bl_mask.nii", f"{pid}_fu.nii", f"{pid}_fu_mask.nii"]
-        _atomic_write_bytes(
+        write_bytes_atomic(
             out / names[0], bl_volume_bytes if bl_volume_bytes else volume_bytes(bl_bits, rng)
         )
-        _atomic_write_bytes(out / names[1], bl_mask_bytes)
-        _atomic_write_bytes(out / names[2], volume_bytes(fu_bits, rng))
-        _atomic_write_bytes(
+        write_bytes_atomic(out / names[1], bl_mask_bytes)
+        write_bytes_atomic(out / names[2], volume_bytes(fu_bits, rng))
+        write_bytes_atomic(
             out / names[3], _nifti_bytes(fu_bits.astype("<u1", order="F"), spacing, datatype=2)
         )
         return {
@@ -266,11 +255,7 @@ def generate_cohort(
             "row": [pid, *names, DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG],
         }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(build_one, range(n)))
-    else:
-        entries = [build_one(i) for i in range(n)]
+    entries = parallel_map(build_one, range(n), threads)
 
     manifest_path = out / "manifest.csv"
     write_text_atomic(manifest_path, dumps_csv(MANIFEST_COLUMNS, [e["row"] for e in entries]))

@@ -102,6 +102,13 @@ def build_record(
     )
 
 
+def quadrant_on_grid(mask: BinaryMask, dims: tuple[int, int, int]) -> Quadrant | None:
+    """Centroid quadrant after a nearest regrid onto `dims` (quadrants are
+    index-relative, so a pair shares one grid); None when empty there."""
+    mask = regrid_nearest(mask, dims)
+    return None if mask.is_empty else centroid(mask).quadrant
+
+
 def check_pair(
     bl_mask: BinaryMask,
     fu_mask: BinaryMask,
@@ -117,12 +124,10 @@ def check_pair(
     """
     if bl_mask.is_empty or fu_mask.is_empty:
         raise EmptyRegionError("QC needs non-empty baseline and follow-up masks")
-    if fu_mask.dims != bl_mask.dims:
-        fu_mask = regrid_nearest(fu_mask, bl_mask.dims)
-        if fu_mask.is_empty:
-            raise EmptyRegionError("follow-up mask vanished when regridded to baseline dims")
+    fu_q = quadrant_on_grid(fu_mask, bl_mask.dims)
+    if fu_q is None:
+        raise EmptyRegionError("follow-up mask vanished when regridded to baseline dims")
     bl_q = centroid(bl_mask).quadrant
-    fu_q = centroid(fu_mask).quadrant
     return build_record(patient_id, bl_q, fu_q, bl_bio.mtv_cm3, fu_bio.mtv_cm3, thr)
 
 

@@ -2,14 +2,19 @@
 
 Floats are rendered with 17 significant digits (%.17g) in both CSV and
 JSON so reports are diff-stable and round-trip bit-exactly; stdlib json
-cannot format floats, hence the small recursive emitter. All writes are
-atomic (temp file + rename).
+cannot format floats, hence the small recursive emitter.
+
+``write_bytes_atomic`` is the package's one file writer (reports, manifests,
+volumes): a temp file in the target's directory, renamed over the target.
+Temp names carry the process and thread id, so concurrent writers to one
+target never share a temp file; the last rename wins.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from pathlib import Path
 
 
@@ -78,12 +83,19 @@ def dumps_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+def write_bytes_atomic(path: str | os.PathLike, *chunks: bytes) -> None:
     p = Path(path)
-    tmp = p.with_name(p.name + ".tmp")
+    # "x" mode: a leftover temp file is an error, never silently shared
+    tmp = p.with_name(f"{p.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, p)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise OSError(f"failed writing {p}: {exc}") from exc
+
+
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    write_bytes_atomic(path, text.encode("utf-8"))

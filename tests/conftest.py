@@ -31,6 +31,16 @@ def mask_from_coords(coords, dims, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:
     return BinaryMask(bits, spacing)
 
 
+def translate(mask: BinaryMask, offset: tuple[int, int, int]) -> BinaryMask:
+    """Shift foreground by an integer voxel offset; every voxel must stay in bounds."""
+    coords = np.argwhere(mask.bits) + np.asarray(offset, dtype=np.int64)
+    if (coords < 0).any() or (coords >= np.asarray(mask.dims)).any():
+        raise ValueError(f"translation {offset} moves voxels out of bounds")
+    out = np.zeros(mask.dims, dtype=bool)
+    out[coords[:, 0], coords[:, 1], coords[:, 2]] = True
+    return BinaryMask(out, mask.spacing)
+
+
 def bfs_components(bits: np.ndarray, connectivity: int) -> list[set[tuple[int, int, int]]]:
     """Pure-python BFS labeling; components ordered by (-size, seed linear index)."""
     offsets = OFFSETS_6 if connectivity == 6 else OFFSETS_26

@@ -14,7 +14,7 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant.cli import main
+from petquant.cli import _parse_roi, main
 from petquant.phantom import LesionSpec
 
 DIMS = (24, 24, 16)
@@ -195,6 +195,40 @@ class TestSegment:
         )
         assert code == 0
         assert json.loads(stdout)["method"] == "pct_suvmax"
+
+    # DIMS is 24 x 24 x 16; negative bounds used to wrap (slice semantics),
+    # overlong ones were clipped, and a config list skipped the empty check
+    BAD_ROIS = [
+        [-15, 0, 0, 10, 10, 10],
+        [0, 0, 0, 25, 10, 10],
+        [6, 6, 2, 18, 18, 17],
+        [6, 6, 2, 6, 18, 14],
+        [6, 6, 2, 18, 5, 14],
+        [6, 6, 2, 18, 18],
+        [6, 6, 2, 18.5, 18, 14],
+    ]
+
+    @pytest.mark.parametrize("roi", BAD_ROIS)
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_bad_roi_exits_1(self, lesion_files, tmp_path, capsys, roi, form):
+        out, _ = lesion_files
+        if form == "flag":
+            roi_args = ["--roi=" + ",".join(str(v) for v in roi)]
+        else:
+            cfg = tmp_path / "seg.json"
+            cfg.write_text(json.dumps({"method": "contrast", "roi": roi}))
+            roi_args = ["--config", str(cfg)]
+        mask_path = tmp_path / "m.nii"
+        code, _, err = run(
+            capsys, "segment", str(out / "vol.nii"), "--out", str(mask_path), *roi_args
+        )
+        assert code == 1
+        assert "roi" in err
+        assert not mask_path.exists()
+
+    def test_benchmark_roi_is_valid(self):
+        box = _parse_roi("52,52,13,92,92,53", (144, 144, 66))
+        assert box.sum() == 40**3 and box[52, 52, 13] and not box[92, 92, 53]
 
 
 @pytest.fixture(scope="module")

@@ -1,18 +1,34 @@
+import csv
 import json
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from petquant import (
+    EmptyRegionError,
+    IntensityUnit,
     ManifestError,
     ResponseModel,
+    Volume3D,
+    check_pair,
     export_annotation_batch,
+    extract,
     fixed_threshold,
     generate_cohort,
     load_manifest,
     quantify_cohort,
+    read_mask,
+    read_volume,
     run_qc,
     run_report,
+    write_mask,
+    write_volume,
 )
+from petquant.cohort import parallel_map
+
+from conftest import mask_from_coords
 
 DIMS = (24, 24, 16)
 SPACING = (4.0, 4.0, 4.0)
@@ -62,6 +78,66 @@ class TestManifest:
         with pytest.raises(ManifestError, match="no rows"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize(
+        "dose, weight",
+        [
+            ("0", "60"),
+            ("-180", "60"),
+            ("nan", "60"),
+            ("inf", "60"),
+            ("180", "0"),
+            ("180", "-60"),
+            ("180", "NaN"),
+            ("180", "-inf"),
+            ("180", ""),
+            ("", "60"),
+        ],
+    )
+    def test_bad_dose_or_weight_names_line(self, tmp_path, dose, weight):
+        # each of these used to fall back to reading kBq/mL volumes as SUV
+        bad = tmp_path / "m.csv"
+        bad.write_text(
+            "patient_id,bl_volume,bl_mask,fu_volume,fu_mask,dose_MBq,weight_kg\n"
+            "p1,a.nii,b.nii,c.nii,d.nii,180,60\n"
+            f"p2,a.nii,b.nii,c.nii,d.nii,{dose},{weight}\n"
+        )
+        with pytest.raises(ManifestError, match=r"m\.csv:3: "):
+            load_manifest(bad)
+
+    def test_no_dose_and_weight_means_suv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "patient_id,bl_volume,bl_mask,fu_volume,fu_mask,dose_MBq,weight_kg\n"
+            "p1,a.nii,b.nii,c.nii,d.nii,,\n"
+        )
+        (entry,) = load_manifest(path)
+        assert entry.dose_MBq is None and entry.weight_kg is None
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_input_order(self, threads):
+        def late_for_small(x):
+            time.sleep(0.002 * (9 - x % 10))
+            return x * x
+
+        assert parallel_map(late_for_small, range(30), threads) == [x * x for x in range(30)]
+
+    @pytest.mark.parametrize("threads", [0, 1])
+    def test_inline_on_calling_thread(self, threads):
+        caller = threading.get_ident()
+        assert parallel_map(lambda _: threading.get_ident(), range(3), threads) == [caller] * 3
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_worker_exception_propagates(self, threads):
+        def boom(x):
+            if x == 5:
+                raise ValueError("boom at 5")
+            return x
+
+        with pytest.raises(ValueError, match="boom at 5"):
+            parallel_map(boom, range(8), threads)
+
 
 class TestQuantifyCohort:
     def test_matches_ground_truth(self, cohort_dir):
@@ -81,6 +157,38 @@ class TestQuantifyCohort:
         a = quantify_cohort(entries, threads=1)
         b = quantify_cohort(entries, threads=4)
         assert [(q.baseline, q.followup) for q in a] == [(q.baseline, q.followup) for q in b]
+
+
+BL_DIMS, FU_DIMS = (8, 8, 4), (16, 16, 8)
+
+
+def _write_regrid_cohort(out, patients):
+    """SUV cohort whose follow-up grid has twice the baseline dims (same extent);
+    each patient is (id, baseline voxel coords, follow-up voxel coords)."""
+    lines = ["patient_id,bl_volume,bl_mask,fu_volume,fu_mask"]
+    for pid, bl_coords, fu_coords in patients:
+        for tag, coords, dims, spacing in (
+            ("bl", bl_coords, BL_DIMS, (4.0, 4.0, 4.0)),
+            ("fu", fu_coords, FU_DIMS, (2.0, 2.0, 2.0)),
+        ):
+            mask = mask_from_coords(coords, dims, spacing)
+            vol = Volume3D(np.where(mask.bits, 10.0, 1.0), spacing, IntensityUnit.SUV)
+            write_volume(vol, out / f"{pid}_{tag}.nii")
+            write_mask(mask, out / f"{pid}_{tag}_mask.nii")
+        lines.append(f"{pid},{pid}_bl.nii,{pid}_bl_mask.nii,{pid}_fu.nii,{pid}_fu_mask.nii")
+    manifest = out / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def _read_pair(out, pid):
+    """check_pair's mask and biomarker arguments for one patient of such a cohort."""
+    masks = [read_mask(out / f"{pid}_{tag}_mask.nii") for tag in ("bl", "fu")]
+    bios = [
+        extract(read_volume(out / f"{pid}_{tag}.nii", IntensityUnit.SUV), m)
+        for tag, m in zip(("bl", "fu"), masks)
+    ]
+    return (*masks, *bios)
 
 
 class TestRunQc:
@@ -116,6 +224,37 @@ class TestRunQc:
         summary = run_qc(entries, tmp_path, threshold=fixed_threshold(100.0))
         assert summary["threshold"] == 100.0
         assert summary["n_outliers"] == 0
+
+    def test_followup_on_finer_grid_matches_check_pair(self, tmp_path):
+        # p1's follow-up sits at x = 7..9 of 16: its own-grid centroid (x = 8) is
+        # high-x, but on the baseline grid only x = 7 and 9 survive -> low-x
+        bl1 = [(1, 1, 1), (2, 1, 1)]
+        fu1 = [(7, 1, 1), (8, 1, 1), (9, 1, 1)]
+        bl2 = [(5, 5, 1), (6, 6, 2)]
+        fu2 = [(x, y, 5) for x in (11, 12, 13) for y in (11, 13)]
+        manifest = _write_regrid_cohort(tmp_path, [("p1", bl1, fu1), ("p2", bl2, fu2)])
+        thr = fixed_threshold(100.0)
+        run_qc(load_manifest(manifest), tmp_path / "qc", threshold=thr)
+        with open(tmp_path / "qc" / "qc_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["patient_id"] for r in rows] == ["p1", "p2"]
+        for row in rows:
+            want = check_pair(*_read_pair(tmp_path, row["patient_id"]), thr)
+            assert row["baseline_quadrant"] == want.baseline_quadrant.value
+            assert row["followup_quadrant"] == want.followup_quadrant.value
+        assert rows[0]["followup_quadrant"] == "Q1"  # not the own-grid Q2
+
+    def test_followup_empty_after_regrid_rejected(self, tmp_path):
+        # the regrid samples odd follow-up indices only, so (8, 8, 2) vanishes
+        manifest = _write_regrid_cohort(tmp_path, [("p1", [(1, 1, 1)], [(8, 8, 2)])])
+        with pytest.raises(EmptyRegionError, match="vanished"):
+            check_pair(*_read_pair(tmp_path, "p1"), fixed_threshold())
+        with pytest.raises(ManifestError, match="p1: empty mask"):
+            run_qc(load_manifest(manifest), tmp_path / "qc", threshold=fixed_threshold(100.0))
+        with pytest.raises(ManifestError, match="p1: empty mask"):
+            run_report(load_manifest(manifest), tmp_path / "report")
+        for name in ("biomarker_table.csv", "deltas.csv", "boxplot.json"):
+            assert (tmp_path / "report" / name).exists()  # written before QC runs
 
 
 class TestRunReport:

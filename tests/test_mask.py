@@ -17,9 +17,14 @@ from petquant import (
     regrid_nearest,
     resample_mask,
 )
-from petquant.mask import translate
 
-from conftest import bfs_components, brute_force_boundary, flood_fill_holes, mask_from_coords
+from conftest import (
+    bfs_components,
+    brute_force_boundary,
+    flood_fill_holes,
+    mask_from_coords,
+    translate,
+)
 
 small_bits = npst.arrays(np.bool_, (4, 4, 4))
 

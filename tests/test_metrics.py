@@ -12,9 +12,8 @@ from petquant import (
     iou,
     sensitivity,
 )
-from petquant.mask import translate
 
-from conftest import brute_force_hausdorff, mask_from_coords
+from conftest import brute_force_hausdorff, mask_from_coords, translate
 
 bits_4 = npst.arrays(np.bool_, (4, 4, 4))
 bits_6 = npst.arrays(np.bool_, (6, 6, 6))

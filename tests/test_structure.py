@@ -1,0 +1,44 @@
+"""Guards against duplicate implementations growing back in src/petquant.
+
+The package keeps one thread map (`cohort.parallel_map`), one atomic writer
+(`serialize.write_bytes_atomic`) and one manifest column list
+(`cohort.MANIFEST_COLUMNS`); new call sites use those instead of copies.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "petquant"
+
+
+def _nodes():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+
+
+def _calls(dotted: str) -> list[str]:
+    return [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == dotted
+    ]
+
+
+def test_one_thread_pool():
+    assert len(_calls("ThreadPoolExecutor")) == 1, _calls("ThreadPoolExecutor")
+
+
+def test_one_atomic_rename():
+    assert len(_calls("os.replace")) == 1, _calls("os.replace")
+
+
+def test_one_manifest_column_list():
+    hits = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, (ast.List, ast.Tuple))
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+        and {"bl_mask", "fu_mask"} <= {e.value for e in node.elts}
+    ]
+    assert len(hits) == 1, hits

@@ -24,18 +24,11 @@ from .losses import LossParams, gradient_check
 from .mask import BinaryMask
 from .metrics import dice, hausdorff_mm, iou, sensitivity
 from .nifti import read_mask, read_volume, write_mask, write_volume
-from .phantom import (
-    DEFAULT_DIMS,
-    DEFAULT_SPACING,
-    LesionSpec,
-    ResponseModel,
-    generate,
-    generate_cohort,
-)
-from .qc import QcThreshold, fixed_threshold
+from .phantom import LesionSpec, ResponseModel, generate, generate_cohort
+from .qc import fixed_threshold
 from .segment import postprocess, threshold_contrast_iterative, threshold_pct_suvmax
 from .serialize import dumps_csv, dumps_json, write_text_atomic
-from .volume import AcquisitionInfo, IntensityUnit, to_suv
+from .volume import AcquisitionInfo
 
 
 class UsageError(Exception):
@@ -47,20 +40,66 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("PETQUANT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _thread_count(raw: str) -> int:
+    """--threads value, or PETQUANT_THREADS when the flag is absent: an integer >= 1."""
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs an integer >= 1 (the default comes from PETQUANT_THREADS), got {raw!r}"
+        )
+    return int(raw)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = dumps_json(payload)
+def _emit(payload: dict | str, out: str | None) -> None:
+    text = payload if isinstance(payload, str) else dumps_json(payload)
     if out:
         write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParameterError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _is(value, kind) -> bool:
+    """A JSON value of Python type `kind`: float also takes an int, no number
+    takes a bool, and (kind, n) is a list of n values of that kind."""
+    if isinstance(kind, tuple):
+        elem, n = kind
+        return isinstance(value, list) and len(value) == n and all(_is(v, elem) for v in value)
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _fields(obj, where: str, types: dict, required=()) -> dict:
+    """The keys of the JSON object `obj`, each checked with `_is` against its kind in `types`.
+
+    Not an object, an unknown or missing key, or a value of the wrong kind
+    raises ParameterError. Floats go through float() and (kind, n) lists
+    become tuples, as the library has always been given them.
+    """
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ParameterError(f"{where}: unknown keys {unknown}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ParameterError(f"{where}: missing keys {missing}")
+    out = {}
+    for key, value in obj.items():
+        kind = types[key]
+        if not _is(value, kind):
+            name = getattr(kind, "__name__", None) or f"a list of {kind[1]} {kind[0].__name__}"
+            raise ParameterError(f"{where}: {key!r} must be {name}, got {value!r}")
+        if isinstance(kind, tuple):
+            value = tuple(value)
+        out[key] = float(value) if kind is float else value
+    return out
 
 
 def _parse_roi(spec: str | list, dims: tuple[int, int, int]) -> np.ndarray:
@@ -85,38 +124,24 @@ def _parse_roi(spec: str | list, dims: tuple[int, int, int]) -> np.ndarray:
     return box
 
 
+# config keys; the segment flags use the same names as their dest. _parse_roi
+# checks the roi, and null means the whole volume.
+_SEG_CONFIG = {
+    **dict.fromkeys(("pct", "a", "b", "tol"), float),
+    "max_iter": int,
+    "method": str,
+    "roi": object,
+    "postprocess": bool,
+}
+_CONTRAST_KEYS = ("a", "b", "tol", "max_iter")  # passed only when set: the library has defaults
+
+
 def _load_seg_config(args) -> dict:
-    cfg = {
-        "method": "pct_suvmax",
-        "pct": 0.5,
-        "a": 0.39,
-        "b": 1.0,
-        "tol": 1e-4,
-        "max_iter": 100,
-        "roi": None,
-        "postprocess": True,
-    }
+    cfg = {"method": "pct_suvmax", "pct": 0.5, "roi": None, "postprocess": True}
     if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{args.config}: invalid JSON: {exc}") from exc
-        unknown = set(loaded) - set(cfg)
-        if unknown:
-            raise ParameterError(f"{args.config}: unknown keys {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update(_fields(_read_json(args.config), args.config, _SEG_CONFIG))
     # flags win over the config file
-    for key, flag in (
-        ("method", args.method),
-        ("pct", args.pct),
-        ("a", args.contrast_a),
-        ("b", args.contrast_b),
-        ("tol", args.tol),
-        ("max_iter", args.max_iter),
-        ("roi", args.roi),
-    ):
-        if flag is not None:
-            cfg[key] = flag
+    cfg.update({k: v for k, v in vars(args).items() if k in _SEG_CONFIG and v is not None})
     if args.no_postprocess:
         cfg["postprocess"] = False
     if cfg["method"] not in ("pct_suvmax", "contrast"):
@@ -124,23 +149,20 @@ def _load_seg_config(args) -> dict:
     return cfg
 
 
-def _segment_volume(vol, cfg: dict) -> tuple[BinaryMask, dict]:
+def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
+    """Segment one volume file into a mask file; returns the run's info."""
+    vol = read_volume(vol_path)
     if cfg["roi"] is None:
         roi = BinaryMask(np.ones(vol.dims, dtype=bool), vol.spacing)
     else:
         roi = BinaryMask(_parse_roi(cfg["roi"], vol.dims), vol.spacing)
     info: dict = {"method": cfg["method"]}
     if cfg["method"] == "pct_suvmax":
-        mask = threshold_pct_suvmax(vol, roi, float(cfg["pct"]))
-        info["pct"] = float(cfg["pct"])
+        mask = threshold_pct_suvmax(vol, roi, cfg["pct"])
+        info["pct"] = cfg["pct"]
     else:
         result = threshold_contrast_iterative(
-            vol,
-            roi,
-            a=float(cfg["a"]),
-            b=float(cfg["b"]),
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
+            vol, roi, **{k: cfg[k] for k in _CONTRAST_KEYS if k in cfg}
         )
         mask = result.mask
         info.update(
@@ -152,8 +174,9 @@ def _segment_volume(vol, cfg: dict) -> tuple[BinaryMask, dict]:
         )
     if cfg["postprocess"]:
         mask = postprocess(mask)
+    write_mask(mask, mask_path)
     info["voxel_count"] = mask.voxel_count
-    return mask, info
+    return info
 
 
 def _cmd_segment(args) -> int:
@@ -168,14 +191,10 @@ def _cmd_segment(args) -> int:
         def seg_one(entry):
             row = [entry.patient_id]
             for tag, vol_path in (("bl", entry.bl_volume), ("fu", entry.fu_volume)):
-                vol = read_volume(vol_path)
-                mask, _ = _segment_volume(vol, cfg)
                 mask_path = out / f"{entry.patient_id}_{tag}_pred.nii"
-                write_mask(mask, mask_path)
+                _segment_file(vol_path, mask_path, cfg)
                 row.extend([os.path.relpath(vol_path, out), mask_path.name])
-            row.append("" if entry.dose_MBq is None else entry.dose_MBq)
-            row.append("" if entry.weight_kg is None else entry.weight_kg)
-            return row
+            return [*row, entry.dose_MBq, entry.weight_kg]
 
         rows = cohort_mod.parallel_map(seg_one, entries, args.threads)
         manifest_path = out / "manifest.csv"
@@ -185,9 +204,7 @@ def _cmd_segment(args) -> int:
 
     if not args.volume or not args.out:
         raise UsageError("segment: single mode needs VOLUME and --out")
-    vol = read_volume(args.volume)
-    mask, info = _segment_volume(vol, cfg)
-    write_mask(mask, args.out)
+    info = _segment_file(args.volume, args.out, cfg)
     info["mask"] = args.out
     _emit(info, None)
     return 0
@@ -196,89 +213,64 @@ def _cmd_segment(args) -> int:
 def _cmd_quantify(args) -> int:
     if (args.dose is None) != (args.weight is None):
         raise UsageError("quantify: --dose and --weight must be given together")
-    vol = read_volume(args.volume)
-    if args.dose is not None:
-        vol = to_suv(
-            vol.with_unit(IntensityUnit.ACTIVITY_KBQ_PER_ML),
-            AcquisitionInfo(args.dose, args.weight),
-        )
-    else:
-        vol = vol.with_unit(IntensityUnit.SUV)
-    mask = read_mask(args.mask)
-    bio = extract(vol, mask)
+    acq = None if args.dose is None else AcquisitionInfo(args.dose, args.weight)
+    bio = extract(cohort_mod.read_suv(args.volume, acq), read_mask(args.mask))
     payload = {"patient_id": args.patient_id, "timepoint": args.timepoint, **bio.as_dict()}
     _emit(payload, args.out)
     return 0
 
 
-def _cmd_compare(args) -> int:
-    if args.batch:
-        rows = []
-        import csv as _csv
+_METRICS = ("dsc", "iou", "sensitivity", "hd_mm")
 
-        with open(args.batch, newline="") as fh:
-            reader = _csv.DictReader(fh)
-            for required in ("pair_id", "path_a", "path_b"):
-                if required not in (reader.fieldnames or []):
-                    raise ParameterError(f"{args.batch}: batch CSV needs column {required!r}")
-            base = Path(args.batch).parent
-            for row in reader:
-                a = read_mask(base / row["path_a"])
-                b = read_mask(base / row["path_b"])
-                rows.append(
-                    [
-                        row["pair_id"],
-                        dice(a, b),
-                        iou(a, b),
-                        sensitivity(a, b),
-                        hausdorff_mm(a, b),
-                    ]
-                )
-        text = dumps_csv(["pair_id", "dsc", "iou", "sensitivity", "hd_mm"], rows)
-        if args.out:
-            write_text_atomic(args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 0
 
-    if not args.gt or not args.pred:
-        raise UsageError("compare: needs GT and PRED mask paths")
-    a = read_mask(args.gt)
-    b = read_mask(args.pred)
+def _compare_pair(a: BinaryMask, b: BinaryMask) -> dict:
+    """Agreement of a ground-truth and a predicted mask: the `_METRICS`, None
+    where undefined, plus the warnings saying why."""
     flags = []
-    payload: dict = {"dsc": dice(a, b), "iou": iou(a, b)}
+    payload: dict = {"dsc": dice(a, b), "iou": iou(a, b), "sensitivity": None, "hd_mm": None}
     if a.is_empty and b.is_empty:
         flags.append("both masks empty: overlap metrics defined as 1")
     if a.is_empty:
-        payload["sensitivity"] = None
         flags.append("ground-truth mask empty: sensitivity undefined")
     else:
         payload["sensitivity"] = sensitivity(a, b)
     if a.is_empty or b.is_empty:
-        payload["hd_mm"] = None
         flags.append("empty mask: Hausdorff distance undefined")
     else:
         payload["hd_mm"] = hausdorff_mm(a, b)
     payload["warnings"] = flags
-    _emit(payload, args.out)
+    return payload
+
+
+def _cmd_compare(args) -> int:
+    if args.batch:
+        base = Path(args.batch).parent
+        rows = []
+        for _, row in cohort_mod.read_table(args.batch, ("pair_id", "path_a", "path_b")):
+            m = _compare_pair(read_mask(base / row["path_a"]), read_mask(base / row["path_b"]))
+            rows.append([row["pair_id"], *(m[k] for k in _METRICS)])
+        _emit(dumps_csv(["pair_id", *_METRICS], rows), args.out)
+        return 0
+
+    if not args.gt or not args.pred:
+        raise UsageError("compare: needs GT and PRED mask paths")
+    _emit(_compare_pair(read_mask(args.gt), read_mask(args.pred)), args.out)
     return 0
 
 
+# a `quantify` output: the first five keys are the BiomarkerSet fields
+_BIOMARKER_JSON = {
+    **dict.fromkeys(("suv_max", "suv_mean", "mtv_cm3", "tlg"), float),
+    "voxel_count": int,
+    **dict.fromkeys(("patient_id", "timepoint"), str),
+    "warnings": list,
+}
+
+
 def _read_biomarker_json(path: str) -> BiomarkerSet:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path}: invalid biomarker JSON: {exc}") from exc
-    try:
-        return BiomarkerSet(
-            float(data["suv_max"]),
-            float(data["suv_mean"]),
-            float(data["mtv_cm3"]),
-            float(data["tlg"]),
-            int(data["voxel_count"]),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"{path}: biomarker JSON missing field {exc}") from exc
+    fields = list(_BIOMARKER_JSON)[:5]
+    data = _fields(_read_json(path), path, _BIOMARKER_JSON, required=fields)
+    return BiomarkerSet(*(data[k] for k in fields))
 
 
 def _cmd_delta(args) -> int:
@@ -288,17 +280,12 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _threshold_from_args(args) -> QcThreshold | None:
-    """A fixed --threshold, or None: derive it from the cohort downstream."""
-    return None if args.threshold is None else fixed_threshold(args.threshold)
-
-
 def _cmd_qc(args) -> int:
     entries = cohort_mod.load_manifest(args.manifest)
     summary = cohort_mod.run_qc(
         entries,
         args.out_dir,
-        threshold=_threshold_from_args(args),
+        threshold=None if args.threshold is None else fixed_threshold(args.threshold),
         select_extreme=args.select_extreme,
         threads=args.threads,
     )
@@ -308,67 +295,59 @@ def _cmd_qc(args) -> int:
 
 def _cmd_report(args) -> int:
     entries = cohort_mod.load_manifest(args.manifest)
-    stats = cohort_mod.run_report(
-        entries, args.out_dir, threshold=_threshold_from_args(args), threads=args.threads
-    )
+    threshold = None if args.threshold is None else fixed_threshold(args.threshold)
+    stats = cohort_mod.run_report(entries, args.out_dir, threshold=threshold, threads=args.threads)
     _emit(stats, None)
     return 0
 
 
+_RESPONSE_KEYS = ("ratio_mean", "ratio_sd", "outlier_fraction", "outlier_ratio_min")
+_PHANTOM_SPEC = {
+    **dict.fromkeys(("peak_suv", "background_suv", "noise_sd"), float),
+    "seed": int,
+    "dims": (int, 3),
+    "spacing_mm": (float, 3),
+}
+_COHORT_SPEC = {
+    **_PHANTOM_SPEC,
+    **dict.fromkeys((*_RESPONSE_KEYS, "baseline_radius_mm"), float),
+    "n": int,
+}
+_LESION_SPEC = {**_PHANTOM_SPEC, "center": (float, 3), "radius_mm": float, "profile": str}
+
+
+def _grid(spec: dict) -> dict:
+    """Pop a phantom spec's dims / spacing_mm as generate()'s grid arguments."""
+    names = (("dims", "dims"), ("spacing_mm", "spacing"))
+    return {arg: spec.pop(key) for key, arg in names if key in spec}
+
+
 def _cmd_phantom(args) -> int:
-    try:
-        spec = json.loads(Path(args.spec).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{args.spec}: invalid JSON: {exc}") from exc
+    spec = _fields(_read_json(args.spec), args.spec, {"cohort": dict, "lesion": dict})
+    if len(spec) != 1:
+        raise ParameterError(f"{args.spec}: spec must contain one 'cohort' or 'lesion' object")
     out = Path(args.out)
     if "cohort" in spec:
-        c = dict(spec["cohort"])
-        response = ResponseModel(
-            ratio_mean=float(c.pop("ratio_mean")),
-            ratio_sd=float(c.pop("ratio_sd", 0.0)),
-            outlier_fraction=float(c.pop("outlier_fraction", 0.0)),
-            outlier_ratio_min=float(c.pop("outlier_ratio_min", 10.0)),
-        )
+        c = _fields(spec["cohort"], f"{args.spec}: cohort", _COHORT_SPEC, ("n", "ratio_mean"))
+        response = ResponseModel(**{k: c.pop(k) for k in _RESPONSE_KEYS if k in c})
+        grid = _grid(c)
+        seed = c.pop("seed", 0)  # generate_cohort has no default seed
         manifest = generate_cohort(
-            n=int(c.pop("n")),
-            response=response,
-            seed=int(c.pop("seed", 0)),
-            out_dir=out,
-            dims=tuple(c.pop("dims", list(DEFAULT_DIMS))),
-            spacing=tuple(c.pop("spacing_mm", list(DEFAULT_SPACING))),
-            baseline_radius_mm=float(c.pop("baseline_radius_mm", 16.0)),
-            peak_suv=float(c.pop("peak_suv", 10.0)),
-            background_suv=float(c.pop("background_suv", 1.0)),
-            noise_sd=float(c.pop("noise_sd", 0.0)),
-            threads=args.threads,
+            response=response, seed=seed, out_dir=out, threads=args.threads, **grid, **c
         )
-        if c:
-            raise ParameterError(f"{args.spec}: unknown cohort keys {sorted(c)}")
         _emit({"manifest": str(manifest)}, None)
         return 0
-    if "lesion" in spec:
-        les = dict(spec["lesion"])
-        dims = tuple(les.pop("dims", list(DEFAULT_DIMS)))
-        spacing = tuple(les.pop("spacing_mm", list(DEFAULT_SPACING)))
-        lesion = LesionSpec(
-            center=tuple(les.pop("center")),
-            radius_mm=float(les.pop("radius_mm")),
-            peak_suv=float(les.pop("peak_suv")),
-            profile=les.pop("profile", "uniform"),
-            background_suv=float(les.pop("background_suv", 0.0)),
-            noise_sd=float(les.pop("noise_sd", 0.0)),
-            seed=int(les.pop("seed", 0)),
-        )
-        if les:
-            raise ParameterError(f"{args.spec}: unknown lesion keys {sorted(les)}")
-        vol, mask, bio = generate(lesion, dims, spacing)
-        out.mkdir(parents=True, exist_ok=True)
-        write_volume(vol, out / "volume.nii")
-        write_mask(mask, out / "mask.nii")
-        write_text_atomic(out / "ground_truth.json", dumps_json(bio.as_dict()))
-        _emit({"out": str(out), **bio.as_dict()}, None)
-        return 0
-    raise ParameterError(f"{args.spec}: spec must contain a 'cohort' or 'lesion' object")
+    les = _fields(
+        spec["lesion"], f"{args.spec}: lesion", _LESION_SPEC, ("center", "radius_mm", "peak_suv")
+    )
+    grid = _grid(les)
+    vol, mask, bio = generate(LesionSpec(**les), **grid)
+    out.mkdir(parents=True, exist_ok=True)
+    write_volume(vol, out / "volume.nii")
+    write_mask(mask, out / "mask.nii")
+    write_text_atomic(out / "ground_truth.json", dumps_json(bio.as_dict()))
+    _emit({"out": str(out), **bio.as_dict()}, None)
+    return 0
 
 
 def _cmd_loss_check(args) -> int:
@@ -389,8 +368,8 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
-        type=int,
-        default=_default_threads(),
+        type=_thread_count,
+        default=os.environ.get("PETQUANT_THREADS") or "1",  # converted by _thread_count
         help="patient-level parallelism (identical output for any value)",
     )
     common.add_argument(
@@ -406,8 +385,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="segmentation config JSON")
     p.add_argument("--method", choices=["pct_suvmax", "contrast"])
     p.add_argument("--pct", type=float, help="fraction of ROI max (pct_suvmax)")
-    p.add_argument("--contrast-a", type=float, dest="contrast_a")
-    p.add_argument("--contrast-b", type=float, dest="contrast_b")
+    p.add_argument("--contrast-a", type=float, dest="a")
+    p.add_argument("--contrast-b", type=float, dest="b")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--roi", help="x0,y0,z0,x1,y1,z1 half-open voxel box")
@@ -440,9 +419,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("qc", parents=[common], help="two-step cohort quality control")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--derive-threshold", action="store_true", dest="derive_threshold",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--derive-threshold", action="store_true", dest="derive_threshold",
                    help="derive the ratio threshold from this cohort (default)")
-    p.add_argument("--threshold", type=float, help="fixed ratio threshold")
+    g.add_argument("--threshold", type=float, help="fixed ratio threshold")
     p.add_argument("--select-extreme", type=int, default=0, dest="select_extreme",
                    help="export the K most extreme outliers for annotation")
     p.set_defaults(func=_cmd_qc)
@@ -473,35 +453,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _report_error(exc: Exception, json_errors: bool, kind: str) -> None:
-    if json_errors:
-        line = json.dumps({"error": kind, "type": type(exc).__name__, "message": str(exc)})
-        print(line, file=sys.stderr)
-    else:
-        print(f"petquant: {kind}: {exc}", file=sys.stderr)
+# first match wins: InputDataError is also a PetQuantError
+_FAILURES = (
+    (UsageError, "usage error", 1),
+    (InputDataError, "input error", 2),
+    (OSError, "io error", 2),
+    (PetQuantError, "validation error", 1),
+)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = None
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    json_errors = getattr(args, "json_errors", False)
-    try:
         return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except InputDataError as exc:
-        _report_error(exc, json_errors, "input error")
-        return 2
-    except OSError as exc:
-        _report_error(exc, json_errors, "io error")
-        return 2
-    except PetQuantError as exc:
-        _report_error(exc, json_errors, "validation error")
-        return 1
+    except (UsageError, OSError, PetQuantError) as exc:
+        kind, code = next((k, c) for t, k, c in _FAILURES if isinstance(exc, t))
+        # a usage error can stop parsing before --json-errors is read
+        json_errors = "--json-errors" in argv if args is None else args.json_errors
+        if json_errors:
+            line = json.dumps({"error": kind, "type": type(exc).__name__, "message": str(exc)})
+            print(line, file=sys.stderr)
+        else:
+            print(exc if kind == "usage error" else f"petquant: {kind}: {exc}", file=sys.stderr)
+        return code
 
 
 def main_entry() -> None:

@@ -3,7 +3,8 @@
 A manifest is a CSV with the columns of `MANIFEST_COLUMNS`, the schema's one
 definition (paths relative to the manifest). When dose_MBq and weight_kg are
 both given the volumes are read as activity concentration and converted to
-SUV; when both are empty they are taken as SUV already.
+SUV; when both are empty they are taken as SUV already. `read_table` is the
+one CSV reader (manifests, `compare --batch` pairs), `read_suv` the one SUV reader.
 
 Patient-level work runs through `parallel_map`; results are reduced in
 manifest order, so reports are byte-identical for any thread count.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,62 +71,70 @@ class CohortEntry:
     weight_kg: float | None = None
 
 
+def read_table(path: str | Path, required) -> Iterator[tuple[int, dict]]:
+    """(line number, row) per data row of a CSV. ManifestError names the file for a
+    missing `required` column, and file:line for a row too short to fill them."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in required if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ManifestError(f"{path}: missing columns {missing}")
+        for row in reader:
+            if any(row[c] is None for c in required):
+                raise ManifestError(f"{path}:{reader.line_num}: short row, needs {required}")
+            yield reader.line_num, row
+
+
 def load_manifest(path: str | Path) -> list[CohortEntry]:
     p = Path(path)
     entries: list[CohortEntry] = []
     seen: set[str] = set()
-    with open(p, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in MANIFEST_COLUMNS[:5] if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ManifestError(f"{p}: manifest missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            pid = (row["patient_id"] or "").strip()
-            if not pid:
-                raise ManifestError(f"{p}:{lineno}: empty patient_id")
-            if pid in seen:
-                raise ManifestError(f"{p}:{lineno}: duplicate patient_id {pid!r}")
-            seen.add(pid)
+    for lineno, row in read_table(p, MANIFEST_COLUMNS[:5]):
+        pid = row["patient_id"].strip()
+        if not pid:
+            raise ManifestError(f"{p}:{lineno}: empty patient_id")
+        if pid in seen:
+            raise ManifestError(f"{p}:{lineno}: duplicate patient_id {pid!r}")
+        seen.add(pid)
 
-            def _num(col: str) -> float | None:
-                raw = (row.get(col) or "").strip()
-                if not raw:
-                    return None
-                try:
-                    val = float(raw)
-                except ValueError as exc:
-                    raise ManifestError(f"{p}:{lineno}: bad {col} value {raw!r}") from exc
-                if not (math.isfinite(val) and val > 0):
-                    raise ManifestError(
-                        f"{p}:{lineno}: {col} must be positive and finite, got {raw!r}"
-                    )
-                return val
+        def _num(col: str) -> float | None:
+            raw = (row.get(col) or "").strip()
+            if not raw:
+                return None
+            try:
+                val = float(raw)
+            except ValueError as exc:
+                raise ManifestError(f"{p}:{lineno}: bad {col} value {raw!r}") from exc
+            if not (math.isfinite(val) and val > 0):
+                raise ManifestError(f"{p}:{lineno}: {col} must be positive and finite, got {raw!r}")
+            return val
 
-            dose, weight = _num("dose_MBq"), _num("weight_kg")
-            if (dose is None) != (weight is None):
-                # a lone value would read kBq/mL volumes as SUV
-                raise ManifestError(f"{p}:{lineno}: dose_MBq and weight_kg must be given together")
-            entries.append(
-                CohortEntry(
-                    pid,
-                    p.parent / row["bl_volume"],
-                    p.parent / row["bl_mask"],
-                    p.parent / row["fu_volume"],
-                    p.parent / row["fu_mask"],
-                    dose,
-                    weight,
-                )
+        dose, weight = _num("dose_MBq"), _num("weight_kg")
+        if (dose is None) != (weight is None):
+            # a lone value would read kBq/mL volumes as SUV
+            raise ManifestError(f"{p}:{lineno}: dose_MBq and weight_kg must be given together")
+        entries.append(
+            CohortEntry(
+                pid,
+                p.parent / row["bl_volume"],
+                p.parent / row["bl_mask"],
+                p.parent / row["fu_volume"],
+                p.parent / row["fu_mask"],
+                dose,
+                weight,
             )
+        )
     if not entries:
         raise ManifestError(f"{p}: manifest has no rows")
     return entries
 
 
-def _read_suv(path: Path, entry: CohortEntry) -> Volume3D:
-    if entry.dose_MBq is not None and entry.weight_kg is not None:
-        vol = read_volume(path, unit=IntensityUnit.ACTIVITY_KBQ_PER_ML)
-        return to_suv(vol, AcquisitionInfo(entry.dose_MBq, entry.weight_kg))
-    return read_volume(path, unit=IntensityUnit.SUV)
+def read_suv(path: str | Path, acq: AcquisitionInfo | None) -> Volume3D:
+    """A volume in SUV: activity concentration converted with `acq`, or,
+    with no acquisition info, values taken as SUV already."""
+    if acq is None:
+        return read_volume(path, unit=IntensityUnit.SUV)
+    return to_suv(read_volume(path, unit=IntensityUnit.ACTIVITY_KBQ_PER_ML), acq)
 
 
 @dataclass(frozen=True)
@@ -140,10 +150,11 @@ class PatientQuant:
 
 
 def _quantify_one(entry: CohortEntry) -> PatientQuant:
+    acq = None if entry.dose_MBq is None else AcquisitionInfo(entry.dose_MBq, entry.weight_kg)
     bl_mask = read_mask(entry.bl_mask)
     fu_mask = read_mask(entry.fu_mask)
-    bl_bio = extract(_read_suv(entry.bl_volume, entry), bl_mask)
-    fu_bio = extract(_read_suv(entry.fu_volume, entry), fu_mask)
+    bl_bio = extract(read_suv(entry.bl_volume, acq), bl_mask)
+    fu_bio = extract(read_suv(entry.fu_volume, acq), fu_mask)
     bl_q = quadrant_on_grid(bl_mask, bl_mask.dims)
     fu_q = quadrant_on_grid(fu_mask, bl_mask.dims)
     return PatientQuant(entry, bl_bio, fu_bio, delta(bl_bio, fu_bio), bl_q, fu_q)

@@ -7,7 +7,8 @@ Two formats are supported:
   ``scl_inter`` honored (slope 0 treated as 1), data located by
   ``vox_offset`` and stored x-fastest;
 * a JSON sidecar ``{dims, spacing_mm, unit, data}`` pointing at a raw
-  little-endian float32 file, convenient for tests.
+  little-endian float32 file, convenient for tests; ``data`` is a relative
+  path without ``..``.
 
 Writing is atomic (``serialize.write_bytes_atomic``). Volumes are written
 as float32, masks as uint8 0/1; reading promotes to the internal float64.
@@ -183,25 +184,34 @@ def _nifti_bytes(values: np.ndarray, spacing: tuple[float, float, float], dataty
     return _nifti_header(values.shape, spacing, datatype) + values.tobytes(order="F")
 
 
+def _triple(value, types: tuple) -> bool:
+    """A JSON list of 3 values whose exact types are in `types` (a bool is no int)."""
+    return isinstance(value, list) and len(value) == 3 and all(type(v) in types for v in value)
+
+
 def _read_sidecar(path: Path) -> Volume3D:
     try:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise VolumeFormatError(f"{path}: invalid JSON sidecar: {exc}") from exc
     for key in ("dims", "spacing_mm", "unit", "data"):
-        if key not in meta:
+        if not isinstance(meta, dict) or key not in meta:
             raise VolumeFormatError(f"{path}: sidecar missing field {key!r}")
-    dims = tuple(int(d) for d in meta["dims"])
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise VolumeFormatError(f"{path}: bad field dims = {meta['dims']!r}")
-    spacing = tuple(float(s) for s in meta["spacing_mm"])
-    raw_path = path.parent / meta["data"]
+    dims, spacing, data = meta["dims"], meta["spacing_mm"], meta["data"]
+    if not _triple(dims, (int,)) or min(dims) < 1:
+        raise VolumeFormatError(f"{path}: bad field dims = {dims!r}, needs 3 integers >= 1")
+    if not _triple(spacing, (int, float)):
+        raise VolumeFormatError(f"{path}: bad field spacing_mm = {spacing!r}, needs 3 numbers")
+    # the payload must lie below the sidecar's directory
+    if not isinstance(data, str) or Path(data).is_absolute() or ".." in Path(data).parts:
+        raise VolumeFormatError(f"{path}: bad field data = {data!r}, needs a relative path")
+    raw_path = path.parent / data
     flat = np.fromfile(raw_path, dtype="<f4")
     count = dims[0] * dims[1] * dims[2]
     if flat.size != count:
         raise VolumeDataError(f"{raw_path}: has {flat.size} voxels, sidecar declares {count}")
     values = flat.astype(np.float64).reshape(dims, order="F")
-    return Volume3D(values, spacing, IntensityUnit.from_string(meta["unit"]))
+    return Volume3D(values, tuple(spacing), IntensityUnit.from_string(meta["unit"]))
 
 
 def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> Volume3D:

@@ -14,7 +14,7 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant.cli import _parse_roi, main
+from petquant.cli import UsageError, _parse_roi, main
 from petquant.phantom import LesionSpec
 
 DIMS = (24, 24, 16)
@@ -62,6 +62,46 @@ class TestCompare:
         lines = stdout.strip().splitlines()
         assert lines[0] == "pair_id,dsc,iou,sensitivity,hd_mm"
         assert lines[1].startswith("self,1,1,1,0")
+
+    def test_batch_empty_mask_writes_empty_cells(self, lesion_files, tmp_path, capsys):
+        # used to abort the whole batch; single mode already reported null
+        out, _ = lesion_files
+        write_mask(BinaryMask(np.zeros(DIMS, bool), SPACING), tmp_path / "empty.nii")
+        batch = tmp_path / "pairs.csv"
+        batch.write_text(
+            "pair_id,path_a,path_b\n"
+            f"no_pred,{out / 'mask.nii'},empty.nii\n"
+            f"no_gt,empty.nii,{out / 'mask.nii'}\n"
+            "none,empty.nii,empty.nii\n"
+        )
+        code, stdout, _ = run(capsys, "compare", "--batch", str(batch))
+        assert code == 0
+        assert stdout.splitlines() == [
+            "pair_id,dsc,iou,sensitivity,hd_mm",
+            "no_pred,0,0,0,",
+            "no_gt,0,0,,",
+            "none,1,1,,",
+        ]
+
+    def test_batch_short_row_names_line(self, lesion_files, tmp_path, capsys):
+        out, _ = lesion_files
+        batch = tmp_path / "pairs.csv"
+        batch.write_text(
+            "pair_id,path_a,path_b\n"
+            f"self,{out / 'mask.nii'},{out / 'mask.nii'}\n"
+            f"short,{out / 'mask.nii'}\n"
+        )
+        code, stdout, err = run(capsys, "compare", "--batch", str(batch))
+        assert code == 1
+        assert "pairs.csv:3" in err and "Traceback" not in err
+        assert stdout == ""
+
+    def test_batch_missing_column_names_file(self, tmp_path, capsys):
+        batch = tmp_path / "pairs.csv"
+        batch.write_text("pair_id,path_a\nx,a.nii\n")
+        code, _, err = run(capsys, "compare", "--batch", str(batch))
+        assert code == 1
+        assert "pairs.csv" in err and "path_b" in err
 
 
 class TestQuantifyAndDelta:
@@ -308,6 +348,23 @@ class TestPipelineCommands:
         assert (tmp_path / "qc" / "qc_report.csv").exists()
         assert (tmp_path / "qc" / "qc_summary.json").exists()
 
+    def test_qc_threshold_flags_are_exclusive(self, cohort_dir, tmp_path, capsys):
+        # used to exit 0 with the fixed threshold ("derivation": "fixed")
+        code, _, err = run(
+            capsys,
+            "qc",
+            "--manifest",
+            str(cohort_dir / "manifest.csv"),
+            "--out-dir",
+            str(tmp_path / "qc"),
+            "--derive-threshold",
+            "--threshold",
+            "5",
+        )
+        assert code == 1
+        assert "not allowed with" in err and "usage" in err
+        assert not (tmp_path / "qc").exists()
+
     def test_report_command(self, cohort_dir, tmp_path, capsys):
         code, stdout, _ = run(
             capsys,
@@ -361,9 +418,23 @@ class TestThreadsDefault:
         monkeypatch.setenv("PETQUANT_THREADS", "6")
         args = build_parser().parse_args(["loss-check"])
         assert args.threads == 6
-        monkeypatch.setenv("PETQUANT_THREADS", "not-a-number")
-        args = build_parser().parse_args(["loss-check"])
-        assert args.threads == 1
+        monkeypatch.setenv("PETQUANT_THREADS", "not-a-number")  # was silently 1 thread
+        with pytest.raises(UsageError, match="PETQUANT_THREADS"):
+            build_parser().parse_args(["loss-check"])
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_thread_count_exits_1(self, monkeypatch, capsys, tmp_path, value, source):
+        if source == "env":
+            monkeypatch.setenv("PETQUANT_THREADS", value)
+            argv = []
+        else:
+            argv = [f"--threads={value}"]
+        out = tmp_path / "loss.json"
+        code, _, err = run(capsys, "loss-check", "--trials", "1", "--out", str(out), *argv)
+        assert code == 1
+        assert "PETQUANT_THREADS" in err and "--threads" in err
+        assert not out.exists()
 
 
 class TestErrorPaths:
@@ -394,6 +465,19 @@ class TestErrorPaths:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "input error"
 
+    def test_json_errors_on_usage_error(self, capsys):
+        code, _, err = run(capsys, "segment", "--json-errors")
+        assert code == 1
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "usage error"
+        assert "VOLUME" in payload["message"]
+
+    def test_json_errors_on_parse_error(self, capsys):
+        code, _, err = run(capsys, "compare", "--bogus", "--json-errors")
+        assert code == 1
+        assert json.loads(err)["error"] == "usage error"
+
     def test_dose_without_weight_exits_1(self, lesion_files, capsys):
         out, _ = lesion_files
         code, _, err = run(
@@ -414,3 +498,60 @@ class TestErrorPaths:
             "1.5",
         )
         assert code == 1
+
+
+_LESION = {"center": [11.5, 11.5, 7.5], "radius_mm": 8, "peak_suv": 10, "dims": [24, 24, 16]}
+_COHORT = {"n": 2, "ratio_mean": 0.5, "dims": [24, 24, 16], "baseline_radius_mm": 10}
+_BIO = {"suv_max": 10, "suv_mean": 10, "mtv_cm3": 1.5, "tlg": 15, "voxel_count": 20}
+
+# (command, JSON text): each used to crash with a traceback, run on a
+# silently converted value, or ignore the offending key
+BAD_JSON = [
+    ("phantom", "[1, 2]"),
+    ("phantom", "{}"),
+    ("phantom", json.dumps({"cohort": _COHORT, "lesion": _LESION})),
+    ("phantom", json.dumps({"cohort": [1]})),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "bogus": 1}})),
+    ("phantom", json.dumps({"cohort": {"ratio_mean": 0.5}})),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "n": True}})),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "n": 2.5}})),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "ratio_mean": "0.5"}})),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "dims": [24, 24]}})),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "spacing_mm": [4, "4", 4]}})),
+    ("phantom", json.dumps({"lesion": {**_LESION, "center": [11.5, "a", 7.5]}})),
+    ("phantom", json.dumps({"lesion": {**_LESION, "peak_suv": False}})),
+    ("phantom", json.dumps({"lesion": {**_LESION, "profile": 1}})),
+    ("segment", '"contrast"'),
+    ("segment", json.dumps({"bogus": 1})),
+    ("segment", json.dumps({"a": "0.39"})),
+    ("segment", json.dumps({"pct": True})),
+    ("segment", json.dumps({"max_iter": 10.5})),
+    ("segment", json.dumps({"postprocess": "no"})),
+    ("segment", json.dumps({"method": ["contrast"]})),
+    ("delta", "{"),
+    ("delta", "[]"),
+    ("delta", json.dumps({k: v for k, v in _BIO.items() if k != "tlg"})),
+    ("delta", json.dumps({**_BIO, "voxel_count": "20"})),
+    ("delta", json.dumps({**_BIO, "suv_max": None})),
+    ("delta", json.dumps({**_BIO, "bogus": 1})),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text", BAD_JSON, ids=[f"{c}{i}" for i, (c, _) in enumerate(BAD_JSON)]
+)
+def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, command, text):
+    out, _ = lesion_files
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    result = tmp_path / "result"
+    if command == "phantom":
+        argv = ["phantom", "--spec", str(path), "--out", str(result)]
+    elif command == "segment":
+        argv = ["segment", str(out / "vol.nii"), "--out", str(result), "--config", str(path)]
+    else:
+        argv = ["delta", str(path), str(path), "--out", str(result)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert str(path) in err and "Traceback" not in err
+    assert not result.exists()

@@ -63,6 +63,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="missing columns"):
             load_manifest(bad)
 
+    def test_short_row_names_line(self, tmp_path):
+        bad = tmp_path / "short.csv"
+        bad.write_text(
+            "patient_id,bl_volume,bl_mask,fu_volume,fu_mask\n"
+            "p1,a.nii,b.nii,c.nii,d.nii\np2,a.nii,b.nii,c.nii\n"
+        )
+        with pytest.raises(ManifestError, match=r"short\.csv:3: "):
+            load_manifest(bad)
+
     def test_duplicate_patient(self, tmp_path):
         bad = tmp_path / "dup.csv"
         bad.write_text(

@@ -142,6 +142,34 @@ class TestHeaderValidation:
         with pytest.raises(FileNotFoundError):
             read_volume(tmp_path / "missing.nii")
 
+    # each field used to give a ValueError traceback, a misleading
+    # FileNotFoundError or exit 1, or (data) was accepted
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dims", ["3", 2, 2]),
+            ("dims", [3.0, 2, 2]),
+            ("dims", [3, 2]),
+            ("dims", [3, 2, True]),
+            ("spacing_mm", [4.0, 4.0]),
+            ("spacing_mm", [4.0, 4.0, 4.0, 4.0]),
+            ("spacing_mm", [4.0, "x", 4.0]),
+            ("data", "ABSOLUTE"),
+            ("data", "../v.raw"),
+            ("data", "sub/../../v.raw"),
+        ],
+    )
+    def test_bad_sidecar_field_rejected(self, tmp_path, field, value):
+        write_volume(make_vol(np.zeros((3, 2, 2))), tmp_path / "v.json")
+        (tmp_path / "sub").mkdir()
+        side = tmp_path / "sub" / "v.json"
+        meta = json.loads((tmp_path / "v.json").read_text())
+        meta["data"] = "missing.raw"  # checks run before the payload is opened
+        meta[field] = str(tmp_path / "v.raw") if value == "ABSOLUTE" else value
+        side.write_text(json.dumps(meta))
+        with pytest.raises(VolumeFormatError, match=field):
+            read_volume(side)
+
 
 class TestIntegerDatatypes:
     def test_int16_payload_with_scaling(self, tmp_path):

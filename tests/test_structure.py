@@ -1,8 +1,10 @@
 """Guards against duplicate implementations growing back in src/petquant.
 
 The package keeps one thread map (`cohort.parallel_map`), one atomic writer
-(`serialize.write_bytes_atomic`) and one manifest column list
-(`cohort.MANIFEST_COLUMNS`); new call sites use those instead of copies.
+(`serialize.write_bytes_atomic`), one manifest column list
+(`cohort.MANIFEST_COLUMNS`), one CSV table reader (`cohort.read_table`), one
+SUV reader (`cohort.read_suv`) and one JSON decoder in the CLI
+(`cli._read_json`); new call sites use those instead of copies.
 """
 
 import ast
@@ -11,16 +13,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "petquant"
 
 
-def _nodes():
-    for path in sorted(SRC.glob("*.py")):
+def _nodes(files: str = "*.py"):
+    for path in sorted(SRC.glob(files)):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
 
 
-def _calls(dotted: str) -> list[str]:
+def _calls(dotted: str, files: str = "*.py") -> list[str]:
     return [
         where
-        for where, node in _nodes()
+        for where, node in _nodes(files)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == dotted
     ]
 
@@ -42,3 +44,22 @@ def test_one_manifest_column_list():
         and {"bl_mask", "fu_mask"} <= {e.value for e in node.elts}
     ]
     assert len(hits) == 1, hits
+
+
+def test_one_csv_reader():
+    # any alias counts: the CLI once read its batch file with `_csv.DictReader`
+    hits = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("DictReader")
+    ]
+    assert len(hits) == 1, hits
+
+
+def test_one_suv_conversion_outside_volume():
+    hits = [w for w in _calls("to_suv") if not w.startswith("volume.py:")]
+    assert len(hits) == 1, hits
+
+
+def test_one_json_decoder_in_cli():
+    assert len(_calls("json.loads", "cli.py")) == 1, _calls("json.loads", "cli.py")

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,15 @@ def _grid(spec: dict) -> dict:
     return {arg: spec.pop(key) for key, arg in names if key in spec}
 
 
+@contextmanager
+def _naming(path: str):
+    """Prefix the library's validation errors about a spec with its file."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _cmd_phantom(args) -> int:
     spec = _fields(_read_json(args.spec), args.spec, {"cohort": dict, "lesion": dict})
     if len(spec) != 1:
@@ -329,19 +339,21 @@ def _cmd_phantom(args) -> int:
     out = Path(args.out)
     if "cohort" in spec:
         c = _fields(spec["cohort"], f"{args.spec}: cohort", _COHORT_SPEC, ("n", "ratio_mean"))
-        response = ResponseModel(**{k: c.pop(k) for k in _RESPONSE_KEYS if k in c})
         grid = _grid(c)
         seed = c.pop("seed", 0)  # generate_cohort has no default seed
-        manifest = generate_cohort(
-            response=response, seed=seed, out_dir=out, threads=args.threads, **grid, **c
-        )
+        with _naming(args.spec):
+            response = ResponseModel(**{k: c.pop(k) for k in _RESPONSE_KEYS if k in c})
+            manifest = generate_cohort(
+                response=response, seed=seed, out_dir=out, threads=args.threads, **grid, **c
+            )
         _emit({"manifest": str(manifest)}, None)
         return 0
     les = _fields(
         spec["lesion"], f"{args.spec}: lesion", _LESION_SPEC, ("center", "radius_mm", "peak_suv")
     )
     grid = _grid(les)
-    vol, mask, bio = generate(LesionSpec(**les), **grid)
+    with _naming(args.spec):
+        vol, mask, bio = generate(LesionSpec(**les), **grid)
     out.mkdir(parents=True, exist_ok=True)
     write_volume(vol, out / "volume.nii")
     write_mask(mask, out / "mask.nii")

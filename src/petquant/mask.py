@@ -7,14 +7,13 @@ here is a pure function; masks are immutable and thread-safe to share.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyRegionError, GeometryMismatchError, ParameterError
-from .volume import Volume3D, _freeze, resample
+from .volume import Volume3D, _Grid, check_grid, resample
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
 _STRUCT_26 = ndimage.generate_binary_structure(3, 3)
@@ -29,27 +28,19 @@ def _structure(connectivity: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(_Grid):
     """Boolean voxel grid of shape (nx, ny, nz) with spacing in mm."""
 
     bits: np.ndarray
     spacing: tuple[float, float, float]
 
+    _ARRAY = "bits"
+
     def __post_init__(self) -> None:
         arr = np.asarray(self.bits)
         if arr.dtype != np.bool_:
             arr = arr.astype(np.bool_)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ParameterError(f"mask must be a non-empty 3D grid, got shape {arr.shape}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(not math.isfinite(s) or s <= 0.0 for s in spacing):
-            raise ParameterError(f"spacing must be three positive mm values, got {self.spacing!r}")
-        object.__setattr__(self, "bits", _freeze(np.ascontiguousarray(arr)))
-        object.__setattr__(self, "spacing", spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.bits.shape  # type: ignore[return-value]
+        self._store(arr, check_grid(arr.shape, self.spacing))
 
     @property
     def voxel_count(self) -> int:
@@ -58,11 +49,6 @@ class BinaryMask:
     @property
     def is_empty(self) -> bool:
         return not self.bits.any()
-
-    @property
-    def voxel_volume_cm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz / 1000.0
 
 
 def require_same_geometry(a: Volume3D | BinaryMask, b: Volume3D | BinaryMask) -> None:
@@ -190,8 +176,7 @@ def resample_mask(mask: BinaryMask, target_spacing: tuple[float, float, float]) 
 def regrid_nearest(mask: BinaryMask, target_dims: tuple[int, int, int]) -> BinaryMask:
     """Nearest-neighbor regrid onto a different matrix size, preserving the
     physical extent (spacing rescales accordingly)."""
-    if any(d < 1 for d in target_dims):
-        raise ParameterError(f"target dims must be positive, got {target_dims!r}")
+    check_grid(target_dims, mask.spacing, ("target dims", "spacing"))
     if tuple(target_dims) == mask.dims:
         return mask
     idx = []

@@ -8,10 +8,13 @@ Two formats are supported:
   ``vox_offset`` and stored x-fastest;
 * a JSON sidecar ``{dims, spacing_mm, unit, data}`` pointing at a raw
   little-endian float32 file, convenient for tests; ``data`` is a relative
-  path without ``..``.
+  path without ``..`` and ``unit`` a known :class:`IntensityUnit` string.
 
-Writing is atomic (``serialize.write_bytes_atomic``). Volumes are written
-as float32, masks as uint8 0/1; reading promotes to the internal float64.
+A bad header or sidecar field raises ``VolumeFormatError`` naming it (checked
+before the payload is opened), an unusable payload ``VolumeDataError``; the
+CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats;
+``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
+written as float32, masks as uint8 0/1; reading promotes to float64.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import VolumeDataError, VolumeFormatError
+from .errors import ParameterError, VolumeDataError, VolumeFormatError
 from .mask import BinaryMask
 from .serialize import write_bytes_atomic
-from .volume import IntensityUnit, Volume3D
+from .volume import IntensityUnit, Volume3D, check_grid
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extender
@@ -86,70 +89,110 @@ _HEADER_DTYPE = np.dtype(
 assert _HEADER_DTYPE.itemsize == HEADER_SIZE
 
 
-def _parse_header(raw: bytes, path: Path) -> tuple[tuple[int, int, int], tuple[float, float, float], int, float, float, int]:
-    if len(raw) < HEADER_SIZE:
-        raise VolumeFormatError(f"{path}: truncated header ({len(raw)} < {HEADER_SIZE} bytes)")
-    hdr = np.frombuffer(raw[:HEADER_SIZE], dtype=_HEADER_DTYPE)[0]
-    size = int(hdr["sizeof_hdr"])
-    if size != HEADER_SIZE:
-        swapped = struct.unpack(">i", raw[:4])[0]
-        if swapped == HEADER_SIZE:
-            raise VolumeFormatError(f"{path}: big-endian file not supported (field sizeof_hdr)")
-        raise VolumeFormatError(f"{path}: bad field sizeof_hdr = {size}, expected {HEADER_SIZE}")
-    if bytes(hdr["magic"]) != _MAGIC.rstrip(b"\x00"):  # numpy strips trailing NULs
-        raise VolumeFormatError(f"{path}: bad field magic = {bytes(hdr['magic'])!r}, expected {_MAGIC!r}")
-    ndim = int(hdr["dim"][0])
-    if ndim != 3:
-        raise VolumeFormatError(f"{path}: bad field dim[0] = {ndim}, only 3D volumes supported")
-    dims = tuple(int(d) for d in hdr["dim"][1:4])
-    if any(d < 1 for d in dims):
-        raise VolumeFormatError(f"{path}: bad field dim = {dims}, dimensions must be >= 1")
-    datatype = int(hdr["datatype"])
-    if datatype not in _DTYPES:
+def _format(path: Path) -> str:
+    if path.suffix not in (".nii", ".json"):
         raise VolumeFormatError(
-            f"{path}: bad field datatype = {datatype}, supported codes are {sorted(_DTYPES)}"
+            f"{path}: unsupported volume extension {path.suffix!r} (use .nii or .json)"
         )
-    bitpix = int(hdr["bitpix"])
-    if bitpix != _BITPIX[datatype]:
-        raise VolumeFormatError(
-            f"{path}: bad field bitpix = {bitpix}, datatype {datatype} requires {_BITPIX[datatype]}"
-        )
-    spacing = tuple(float(s) for s in hdr["pixdim"][1:4])
-    if any(not np.isfinite(s) or s <= 0.0 for s in spacing):
-        raise VolumeFormatError(f"{path}: bad field pixdim = {spacing}, spacing must be positive")
-    vox_offset = float(hdr["vox_offset"])
-    if not np.isfinite(vox_offset) or vox_offset != int(vox_offset) or int(vox_offset) < VOX_OFFSET:
-        raise VolumeFormatError(f"{path}: bad field vox_offset = {vox_offset}")
-    slope = float(hdr["scl_slope"])
-    if not np.isfinite(slope):
-        raise VolumeFormatError(f"{path}: bad field scl_slope = {slope}")
-    if slope == 0.0:
-        slope = 1.0
-    inter = float(hdr["scl_inter"])
-    if not np.isfinite(inter):
-        raise VolumeFormatError(f"{path}: bad field scl_inter = {inter}")
-    return dims, spacing, datatype, slope, inter, int(vox_offset)
+    return path.suffix
 
 
-def _read_payload(path: Path) -> tuple[np.ndarray, tuple[float, float, float], int, float, float]:
-    """Raw x-fastest payload as an (nx, ny, nz) view, plus spacing/scaling."""
+def _decode_nifti(path: Path) -> tuple:
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_SIZE)
-        dims, spacing, datatype, slope, inter, offset = _parse_header(raw, path)
-        fh.seek(offset)
+        if len(raw) < HEADER_SIZE:
+            raise VolumeFormatError(f"{path}: truncated header ({len(raw)} < {HEADER_SIZE} bytes)")
+        hdr = np.frombuffer(raw, dtype=_HEADER_DTYPE)[0]
+        sizeof_hdr = int(hdr["sizeof_hdr"])
+        if sizeof_hdr != HEADER_SIZE:
+            if struct.unpack(">i", raw[:4])[0] == HEADER_SIZE:
+                raise VolumeFormatError(f"{path}: big-endian file not supported (field sizeof_hdr)")
+            raise VolumeFormatError(
+                f"{path}: bad field sizeof_hdr = {sizeof_hdr}, expected {HEADER_SIZE}"
+            )
+        magic = bytes(hdr["magic"])  # numpy strips trailing NULs
+        if magic != _MAGIC.rstrip(b"\x00"):
+            raise VolumeFormatError(f"{path}: bad field magic = {magic!r}, expected {_MAGIC!r}")
+        ndim = int(hdr["dim"][0])
+        if ndim != 3:
+            raise VolumeFormatError(f"{path}: bad field dim[0] = {ndim}, only 3D volumes supported")
+        datatype = int(hdr["datatype"])
+        if datatype not in _DTYPES:
+            raise VolumeFormatError(
+                f"{path}: bad field datatype = {datatype}, supported codes are {sorted(_DTYPES)}"
+            )
+        bitpix = int(hdr["bitpix"])
+        if bitpix != _BITPIX[datatype]:
+            need = _BITPIX[datatype]
+            raise VolumeFormatError(
+                f"{path}: bad field bitpix = {bitpix}, datatype {datatype} requires {need}"
+            )
+        dims = tuple(int(d) for d in hdr["dim"][1:4])
+        spacing = check_grid(dims, tuple(float(s) for s in hdr["pixdim"][1:4]), ("dim", "pixdim"))
+        offset = float(hdr["vox_offset"])
+        if not np.isfinite(offset) or offset != int(offset) or offset < VOX_OFFSET:
+            raise VolumeFormatError(f"{path}: bad field vox_offset = {offset}")
+        offset = int(offset)
+        slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
+        for name, value in (("scl_slope", slope), ("scl_inter", inter)):
+            if not np.isfinite(value):
+                raise VolumeFormatError(f"{path}: bad field {name} = {value}")
         dtype = _DTYPES[datatype]
-        count = dims[0] * dims[1] * dims[2]
-        payload = fh.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
-        raise VolumeDataError(
-            f"{path}: data section has {len(payload)} bytes, expected {count * dtype.itemsize}"
-        )
-    flat = np.frombuffer(payload, dtype=dtype)
-    return flat.reshape(dims, order="F"), spacing, datatype, slope, inter
+        size = dims[0] * dims[1] * dims[2] * dtype.itemsize
+        # against the file size first: a bad header cannot make read() allocate more
+        available = max(os.fstat(fh.fileno()).st_size - offset, 0)
+        if available < size:
+            raise VolumeDataError(f"{path}: data section has {available} bytes, expected {size}")
+        fh.seek(offset)
+        grid = np.frombuffer(fh.read(size), dtype=dtype).reshape(dims, order="F")
+    return grid, spacing, slope or 1.0, inter, None  # slope 0 means unscaled
 
 
-def _read_nifti(path: Path, unit: IntensityUnit) -> Volume3D:
-    grid, spacing, _, slope, inter = _read_payload(path)
+def _triple(value, types: tuple) -> bool:
+    """A JSON list of 3 values whose exact types are in `types` (a bool is no int)."""
+    return isinstance(value, list) and len(value) == 3 and all(type(v) in types for v in value)
+
+
+def _decode_sidecar(path: Path) -> tuple:
+    try:
+        meta = json.loads(path.read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise VolumeFormatError(f"{path}: invalid JSON sidecar: {exc}") from exc
+    for key in ("dims", "spacing_mm", "unit", "data"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise VolumeFormatError(f"{path}: sidecar missing field {key!r}")
+    dims, spacing, data = meta["dims"], meta["spacing_mm"], meta["data"]
+    if not _triple(dims, (int,)):
+        raise VolumeFormatError(f"{path}: bad field dims = {dims!r}, needs 3 integers")
+    if not _triple(spacing, (int, float)):
+        raise VolumeFormatError(f"{path}: bad field spacing_mm = {spacing!r}, needs 3 numbers")
+    spacing = check_grid(dims, spacing, ("dims", "spacing_mm"))
+    unit = IntensityUnit.from_string(meta["unit"])
+    # the payload must be a file below the sidecar's directory
+    parts = Path(data).parts if isinstance(data, str) else ()
+    if not parts or Path(data).is_absolute() or ".." in parts:
+        raise VolumeFormatError(f"{path}: bad field data = {data!r}, needs a relative file path")
+    try:
+        flat = np.fromfile(path.parent / data, dtype="<f4")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
+        raise VolumeDataError(f"{path}: field data = {data!r} cannot be read: {exc}") from exc
+    count = dims[0] * dims[1] * dims[2]
+    if flat.size != count:
+        raise VolumeDataError(f"{path}: data has {flat.size} voxels, dims declare {count}")
+    return flat.reshape(dims, order="F"), spacing, 1.0, 0.0, unit
+
+
+def _decode(path: Path) -> tuple:
+    """The one decoder: a `.nii` or `.json` volume as its stored (nx, ny, nz)
+    grid (read-only, stored dtype), spacing, scl slope and intercept, and the
+    sidecar unit (None for NIfTI, which stores none)."""
+    try:
+        return _decode_sidecar(path) if _format(path) == ".json" else _decode_nifti(path)
+    except ParameterError as exc:  # a header value the package's checks reject
+        raise VolumeFormatError(f"{path}: bad field {exc}") from None
+
+
+def _to_volume(grid: np.ndarray, spacing, slope: float, inter: float, unit) -> Volume3D:
     values = grid.astype(np.float64, order="C")  # one pass: widen + transpose
     if slope != 1.0 or inter != 0.0:
         values *= slope
@@ -158,7 +201,7 @@ def _read_nifti(path: Path, unit: IntensityUnit) -> Volume3D:
     return Volume3D(values, spacing, unit)
 
 
-def _nifti_header(shape: tuple[int, ...], spacing: tuple[float, float, float], datatype: int) -> bytes:
+def _nifti_header(shape: tuple[int, ...], spacing, datatype: int) -> bytes:
     hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = HEADER_SIZE
     hdr["regular"] = b"r"
@@ -180,38 +223,23 @@ def _nifti_header(shape: tuple[int, ...], spacing: tuple[float, float, float], d
     return hdr.tobytes() + b"\x00\x00\x00\x00"  # 4-byte extender: no extensions
 
 
-def _nifti_bytes(values: np.ndarray, spacing: tuple[float, float, float], datatype: int) -> bytes:
-    return _nifti_header(values.shape, spacing, datatype) + values.tobytes(order="F")
+def encode_nifti(values: np.ndarray, spacing, datatype: int) -> tuple[bytes, bytes]:
+    """The one NIfTI encoder: header and x-fastest payload of `values` stored
+    as `datatype` (2 uint8, 4 int16, 16 float32), to write back to back."""
+    data = values.astype(_DTYPES[datatype], order="F")
+    return _nifti_header(data.shape, spacing, datatype), data.tobytes(order="F")
 
 
-def _triple(value, types: tuple) -> bool:
-    """A JSON list of 3 values whose exact types are in `types` (a bool is no int)."""
-    return isinstance(value, list) and len(value) == 3 and all(type(v) in types for v in value)
-
-
-def _read_sidecar(path: Path) -> Volume3D:
-    try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise VolumeFormatError(f"{path}: invalid JSON sidecar: {exc}") from exc
-    for key in ("dims", "spacing_mm", "unit", "data"):
-        if not isinstance(meta, dict) or key not in meta:
-            raise VolumeFormatError(f"{path}: sidecar missing field {key!r}")
-    dims, spacing, data = meta["dims"], meta["spacing_mm"], meta["data"]
-    if not _triple(dims, (int,)) or min(dims) < 1:
-        raise VolumeFormatError(f"{path}: bad field dims = {dims!r}, needs 3 integers >= 1")
-    if not _triple(spacing, (int, float)):
-        raise VolumeFormatError(f"{path}: bad field spacing_mm = {spacing!r}, needs 3 numbers")
-    # the payload must lie below the sidecar's directory
-    if not isinstance(data, str) or Path(data).is_absolute() or ".." in Path(data).parts:
-        raise VolumeFormatError(f"{path}: bad field data = {data!r}, needs a relative path")
-    raw_path = path.parent / data
-    flat = np.fromfile(raw_path, dtype="<f4")
-    count = dims[0] * dims[1] * dims[2]
-    if flat.size != count:
-        raise VolumeDataError(f"{raw_path}: has {flat.size} voxels, sidecar declares {count}")
-    values = flat.astype(np.float64).reshape(dims, order="F")
-    return Volume3D(values, tuple(spacing), IntensityUnit.from_string(meta["unit"]))
+def _write(path: Path, values: np.ndarray, spacing, datatype: int, unit: IntensityUnit) -> None:
+    """The one writer: NIfTI stores `datatype`; a sidecar stores float32 raw data."""
+    if _format(path) == ".nii":
+        write_bytes_atomic(path, *encode_nifti(values, spacing, datatype))
+        return
+    raw = path.with_suffix(".raw")
+    meta = {"dims": list(values.shape), "spacing_mm": list(spacing), "unit": unit.value}
+    meta["data"] = raw.name
+    write_bytes_atomic(raw, values.astype("<f4", order="F").tobytes(order="F"))
+    write_bytes_atomic(path, json.dumps(meta, indent=2).encode() + b"\n")
 
 
 def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> Volume3D:
@@ -220,64 +248,27 @@ def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> V
     For NIfTI input the intensity unit defaults to ARBITRARY unless given;
     sidecars carry their own unit (an explicit ``unit`` overrides it).
     """
-    p = Path(path)
-    if p.suffix == ".json":
-        vol = _read_sidecar(p)
-        return vol if unit is None else vol.with_unit(unit)
-    if p.suffix == ".nii":
-        return _read_nifti(p, unit if unit is not None else IntensityUnit.ARBITRARY)
-    raise VolumeFormatError(f"{p}: unsupported volume extension {p.suffix!r} (use .nii or .json)")
+    grid, spacing, slope, inter, stored = _decode(Path(path))
+    return _to_volume(grid, spacing, slope, inter, unit or stored or IntensityUnit.ARBITRARY)
 
 
 def write_volume(vol: Volume3D, path: str | os.PathLike) -> None:
     """Write a volume as float32. Roundtrip is bit-exact for float32 data."""
-    p = Path(path)
-    if not np.isfinite(vol.values).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vol.values))[0])
-        raise VolumeDataError(f"refusing to write non-finite voxel at index {idx}")
-    if p.suffix == ".json":
-        raw_name = p.with_suffix(".raw").name
-        meta = {
-            "dims": list(vol.dims),
-            "spacing_mm": list(vol.spacing),
-            "unit": vol.unit.value,
-            "data": raw_name,
-        }
-        data32 = vol.values.astype("<f4", order="F")
-        write_bytes_atomic(p.parent / raw_name, data32.tobytes(order="F"))
-        write_bytes_atomic(p, json.dumps(meta, indent=2).encode() + b"\n")
-        return
-    if p.suffix == ".nii":
-        data32 = vol.values.astype("<f4", order="F")
-        write_bytes_atomic(
-            p, _nifti_header(data32.shape, vol.spacing, datatype=16), data32.tobytes(order="F")
-        )
-        return
-    raise VolumeFormatError(f"{p}: unsupported volume extension {p.suffix!r} (use .nii or .json)")
+    _write(Path(path), vol.values, vol.spacing, 16, vol.unit)
 
 
 def read_mask(path: str | os.PathLike) -> BinaryMask:
     """Read an 8-bit (or float) label volume; nonzero voxels are foreground."""
-    p = Path(path)
-    if p.suffix == ".nii":
-        grid, spacing, datatype, slope, inter = _read_payload(p)
-        # fast path for unscaled integer labels; float data goes through the
-        # full volume validation
-        if datatype in (2, 4) and slope == 1.0 and inter == 0.0:
-            bits = np.ascontiguousarray(grid != 0)
-            bits.flags.writeable = False
-            return BinaryMask(bits, spacing)
-    vol = read_volume(path)
+    grid, spacing, slope, inter, _ = _decode(Path(path))
+    if grid.dtype.kind in "iu" and slope == 1.0 and inter == 0.0:
+        # unscaled integer labels: no float copy, nothing non-finite to check
+        bits = np.ascontiguousarray(grid != 0)
+        bits.flags.writeable = False
+        return BinaryMask(bits, spacing)
+    vol = _to_volume(grid, spacing, slope, inter, IntensityUnit.ARBITRARY)  # checks finiteness
     return BinaryMask(vol.values != 0.0, vol.spacing)
 
 
 def write_mask(mask: BinaryMask, path: str | os.PathLike) -> None:
     """Write a mask as a uint8 0/1 NIfTI volume (or float32 sidecar)."""
-    p = Path(path)
-    if p.suffix == ".nii":
-        data8 = mask.bits.astype("<u1", order="F")
-        write_bytes_atomic(
-            p, _nifti_header(data8.shape, mask.spacing, datatype=2), data8.tobytes(order="F")
-        )
-        return
-    write_volume(Volume3D(mask.bits.astype(np.float64), mask.spacing), p)
+    _write(Path(path), mask.bits, mask.spacing, 2, IntensityUnit.ARBITRARY)

@@ -2,9 +2,10 @@
 
 Single lesions are spheres (uniform plateau or Gaussian profile) on a flat
 background; the ground-truth mask is the closed-form 50%-contrast set, i.e.
-all voxel centers within the lesion radius. Cohorts pair each baseline
-lesion with a follow-up blob built to an exact target voxel count, so the
-realized MTV ratio is a known rational.
+all voxel centers within the lesion radius. A cohort's lesions are prefixes
+of one growth order (distance from the grid center, ties by linear index):
+the baseline sphere is its first N voxels, each follow-up blob exactly
+round(ratio·N) voxels, so the realized MTV ratio is a known rational.
 
 All randomness is seeded; per-patient streams derive from (seed, index) so
 parallel generation never changes the output bytes.
@@ -22,9 +23,9 @@ from .biomarkers import BiomarkerSet
 from .cohort import MANIFEST_COLUMNS, parallel_map
 from .errors import LesionSpecError, ParameterError
 from .mask import BinaryMask
-from .nifti import _nifti_bytes
+from .nifti import encode_nifti
 from .serialize import dumps_csv, dumps_json, write_bytes_atomic, write_text_atomic
-from .volume import IntensityUnit, Volume3D
+from .volume import IntensityUnit, Volume3D, check_grid, voxel_volume_cm3
 
 DEFAULT_DIMS = (144, 144, 66)
 DEFAULT_SPACING = (4.0, 4.0, 4.0)
@@ -60,6 +61,14 @@ class LesionSpec:
             raise LesionSpecError("noise_sd must be >= 0")
 
 
+def _check_fits(center: tuple, radius_mm: float, dims: tuple, spacing: tuple) -> None:
+    """The grid check, then the fit check: the sphere stays inside on every axis."""
+    check_grid(dims, spacing)
+    for c, n, s in zip(center, dims, spacing):
+        if c * s < radius_mm or (n - 1 - c) * s < radius_mm:
+            raise LesionSpecError(f"lesion of radius {radius_mm} mm at {center} leaves the volume")
+
+
 def _distance_mm_grid(
     dims: tuple[int, int, int],
     spacing: tuple[float, float, float],
@@ -82,18 +91,14 @@ def generate(
     The biomarkers come from the noiseless construction by direct voxel
     counting, independent of the extraction code path.
     """
-    for c, n, s in zip(spec.center, dims, spacing):
-        if c * s < spec.radius_mm or (n - 1 - c) * s < spec.radius_mm:
-            raise LesionSpecError(
-                f"lesion of radius {spec.radius_mm} mm at {spec.center} leaves the volume"
-            )
+    _check_fits(spec.center, spec.radius_mm, dims, spacing)
     d = _distance_mm_grid(dims, spacing, spec.center)
-    contrast = spec.peak_suv - spec.background_suv
     inside = d <= spec.radius_mm
     if spec.profile == "uniform":
         noiseless = np.where(inside, spec.peak_suv, spec.background_suv)
     else:
         sigma = spec.radius_mm / math.sqrt(2.0 * math.log(2.0))
+        contrast = spec.peak_suv - spec.background_suv
         noiseless = spec.background_suv + contrast * np.exp(-(d * d) / (2.0 * sigma * sigma))
 
     values = noiseless
@@ -103,31 +108,24 @@ def generate(
 
     mask = BinaryMask(inside, spacing)
     count = int(inside.sum())
-    voxvol = spacing[0] * spacing[1] * spacing[2] / 1000.0
+    mtv = count * voxel_volume_cm3(spacing)
     if count == 0:
         bio = BiomarkerSet(0.0, 0.0, 0.0, 0.0, 0, ("lesion covers no voxel center",))
     elif spec.profile == "uniform":
-        mtv = count * voxvol
         bio = BiomarkerSet(spec.peak_suv, spec.peak_suv, mtv, spec.peak_suv * mtv, count)
     else:
-        sigma = spec.radius_mm / math.sqrt(2.0 * math.log(2.0))
-        din = d[inside]
-        profile_vals = spec.background_suv + contrast * np.exp(-(din * din) / (2.0 * sigma * sigma))
+        profile_vals = noiseless[inside]
         mean = float(profile_vals.mean())
-        peak = float(profile_vals.max())
-        mtv = count * voxvol
-        bio = BiomarkerSet(peak, mean, mtv, mean * mtv, count)
+        bio = BiomarkerSet(float(profile_vals.max()), mean, mtv, mean * mtv, count)
     return Volume3D(values, spacing, IntensityUnit.SUV), mask, bio
 
 
-def _growth_order(
-    dims: tuple[int, int, int],
-    spacing: tuple[float, float, float],
-    center: tuple[float, float, float],
-) -> np.ndarray:
-    """Linear voxel indices sorted by (distance from center, linear index)."""
+def _growth_order(dims: tuple, spacing: tuple, center: tuple, radius_mm: float) -> tuple:
+    """Linear voxel indices sorted by (distance from center, linear index),
+    and how many lie within `radius_mm`: the sphere is that many first voxels."""
     d = _distance_mm_grid(dims, spacing, center).ravel()
-    return np.lexsort((np.arange(d.size), d))
+    # a stable sort breaks distance ties by linear index
+    return np.argsort(d, kind="stable"), int(np.count_nonzero(d <= radius_mm))
 
 
 def _blob_mask(dims: tuple[int, int, int], order: np.ndarray, count: int) -> np.ndarray:
@@ -181,40 +179,33 @@ def generate_cohort(
     """
     if n < 1:
         raise ParameterError(f"cohort size must be >= 1, got {n}")
+    center = tuple((d - 1) / 2.0 for d in dims)
+    _check_fits(center, baseline_radius_mm, dims, spacing)
+    growth, bl_count = _growth_order(dims, spacing, center, baseline_radius_mm)
+    if bl_count == 0:
+        raise LesionSpecError("baseline lesion covers no voxel center")
+    bl_bits = _blob_mask(dims, growth, bl_count)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    center = tuple((d - 1) / 2.0 for d in dims)
-    for c, nn, s in zip(center, dims, spacing):
-        if c * s < baseline_radius_mm:
-            raise LesionSpecError("baseline lesion does not fit in the grid")
 
     master = np.random.default_rng(seed)
     n_outliers = int(round(response.outlier_fraction * n))
     outlier_idx = set(master.permutation(n)[:n_outliers].tolist())
 
-    d_grid = _distance_mm_grid(dims, spacing, center)
-    bl_bits = d_grid <= baseline_radius_mm
-    bl_count = int(bl_bits.sum())
-    if bl_count == 0:
-        raise LesionSpecError("baseline lesion covers no voxel center")
-    growth = _growth_order(dims, spacing, center)
-    voxvol = spacing[0] * spacing[1] * spacing[2] / 1000.0
+    voxvol = voxel_volume_cm3(spacing)
     suv_to_activity = DEFAULT_DOSE_MBQ / DEFAULT_WEIGHT_KG  # kBq/mL per SUV
     peak_act = peak_suv * suv_to_activity
     bg_act = background_suv * suv_to_activity
 
-    def volume_bytes(bits: np.ndarray, rng) -> bytes:
+    def volume_nifti(bits: np.ndarray, rng) -> tuple[bytes, bytes]:
         values = np.where(bits, peak_act, bg_act)
         if noise_sd > 0:
             values += rng.normal(0.0, noise_sd * suv_to_activity, dims)
-        return _nifti_bytes(values.astype("<f4", order="F"), spacing, datatype=16)
+        return encode_nifti(values, spacing, datatype=16)
 
     # every noiseless baseline is identical; serialize it once
-    bl_volume_bytes = None
-    bl_mask_bytes = _nifti_bytes(bl_bits.astype("<u1", order="F"), spacing, datatype=2)
-    if noise_sd == 0:
-        bl_volume_bytes = volume_bytes(bl_bits, None)
+    bl_volume = volume_nifti(bl_bits, None) if noise_sd == 0 else None
+    bl_mask = encode_nifti(bl_bits, spacing, datatype=2)
 
     def analytic(count: int) -> dict:
         mtv = count * voxvol
@@ -230,7 +221,7 @@ def generate_cohort(
         rng = np.random.default_rng([seed, i])
         if i in outlier_idx:
             ratio = response.outlier_ratio_min * (1.0 + rng.uniform(0.0, 0.5))
-            fu_count = min(int(math.ceil(ratio * bl_count)), dims[0] * dims[1] * dims[2])
+            fu_count = min(int(math.ceil(ratio * bl_count)), growth.size)
         else:
             ratio = max(1.0 / bl_count, rng.normal(response.ratio_mean, response.ratio_sd))
             fu_count = max(1, int(round(ratio * bl_count)))
@@ -238,14 +229,10 @@ def generate_cohort(
 
         pid = f"p{i:04d}"
         names = [f"{pid}_bl.nii", f"{pid}_bl_mask.nii", f"{pid}_fu.nii", f"{pid}_fu_mask.nii"]
-        write_bytes_atomic(
-            out / names[0], bl_volume_bytes if bl_volume_bytes else volume_bytes(bl_bits, rng)
-        )
-        write_bytes_atomic(out / names[1], bl_mask_bytes)
-        write_bytes_atomic(out / names[2], volume_bytes(fu_bits, rng))
-        write_bytes_atomic(
-            out / names[3], _nifti_bytes(fu_bits.astype("<u1", order="F"), spacing, datatype=2)
-        )
+        write_bytes_atomic(out / names[0], *(bl_volume or volume_nifti(bl_bits, rng)))
+        write_bytes_atomic(out / names[1], *bl_mask)
+        write_bytes_atomic(out / names[2], *volume_nifti(fu_bits, rng))
+        write_bytes_atomic(out / names[3], *encode_nifti(fu_bits, spacing, datatype=2))
         return {
             "patient_id": pid,
             "bl": analytic(bl_count),

@@ -23,7 +23,9 @@ from .volume import Volume3D
 
 DEFAULT_CONTRAST_A = 0.39
 DEFAULT_CONTRAST_B = 1.0
-BACKGROUND_SHELL_GAP = 3  # voxels between ROI and the 1-voxel background shell
+# voxels between ROI and the 1-voxel background shell; >= 2, since scipy
+# reads iterations=0 as "dilate until nothing changes"
+BACKGROUND_SHELL_GAP = 3
 
 
 def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask, pct: float) -> BinaryMask:
@@ -38,19 +40,14 @@ def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask, pct: float) -> BinaryMa
     return BinaryMask(roi.bits & (vol.values >= min(pct * vmax, vmax)), vol.spacing)
 
 
-def background_estimate(vol: Volume3D, roi: BinaryMask, gap: int = BACKGROUND_SHELL_GAP) -> float:
-    """Mean intensity on the 1-voxel shell `gap` dilations beyond the ROI.
+def background_estimate(vol: Volume3D, roi: BinaryMask) -> float:
+    """Mean intensity on the 1-voxel shell BACKGROUND_SHELL_GAP dilations beyond the ROI.
 
     Returns 0.0 when the shell leaves the volume entirely (ROI fills the grid).
     """
     struct = _structure(6)
-    outer = ndimage.binary_dilation(roi.bits, structure=struct, iterations=gap)
-    inner = (
-        ndimage.binary_dilation(roi.bits, structure=struct, iterations=gap - 1)
-        if gap > 1
-        else roi.bits
-    )
-    shell = outer & ~inner
+    inner = ndimage.binary_dilation(roi.bits, structure=struct, iterations=BACKGROUND_SHELL_GAP - 1)
+    shell = ndimage.binary_dilation(inner, structure=struct) & ~inner
     if not shell.any():
         return 0.0
     return float(vol.values[shell].mean())
@@ -73,13 +70,11 @@ def threshold_contrast_iterative(
     b: float = DEFAULT_CONTRAST_B,
     tol: float = 1e-4,
     max_iter: int = 100,
-    background: float | None = None,
 ) -> ContrastResult:
     """Iterate the contrast rule to a fixed point and threshold the ROI.
 
     The 70% reference level uses the ROI maximum computed once up front.
-    `background` overrides the shell estimate when given. Non-convergence
-    within max_iter returns the last mask with converged=False.
+    Non-convergence within max_iter returns the last mask with converged=False.
     """
     require_same_geometry(vol, roi)
     if roi.is_empty:
@@ -93,7 +88,7 @@ def threshold_contrast_iterative(
 
     roi_values = vol.values[roi.bits]
     local_max = float(roi_values.max())
-    bg = background_estimate(vol, roi) if background is None else float(background)
+    bg = background_estimate(vol, roi)
     ref70 = 0.7 * local_max
 
     t_cur = ref70

@@ -32,9 +32,9 @@ class IntensityUnit(enum.Enum):
     @classmethod
     def from_string(cls, s: str) -> "IntensityUnit":
         for unit in cls:
-            if unit.value.lower() == s.strip().lower():
+            if isinstance(s, str) and unit.value.lower() == s.strip().lower():
                 return unit
-        raise ParameterError(f"unknown intensity unit {s!r}")
+        raise ParameterError(f"unit = {s!r}, needs one of {[u.value for u in cls]}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -44,8 +44,47 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_grid(dims, spacing, names=("dims", "spacing")) -> tuple[float, float, float]:
+    """The one grid-geometry check: three sizes >= 1 and three finite spacings
+    > 0 mm. Returns the spacing as floats; errors name the field from `names`."""
+    if len(dims) != 3 or min(dims) < 1:
+        raise ParameterError(f"{names[0]} = {tuple(dims)}, needs three sizes >= 1")
+    try:
+        mm = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError, OverflowError):
+        mm = ()
+    if len(mm) != 3 or any(not math.isfinite(s) or s <= 0.0 for s in mm):
+        raise ParameterError(f"{names[1]} = {spacing!r}, needs three finite values > 0 mm")
+    return mm  # type: ignore[return-value]
+
+
+def voxel_volume_cm3(spacing: tuple[float, float, float]) -> float:
+    """Volume of one voxel in cm³ (= mL) from its spacing in mm."""
+    sx, sy, sz = spacing
+    return sx * sy * sz / 1000.0
+
+
+class _Grid:
+    """Geometry of Volume3D and BinaryMask, frozen dataclasses whose voxel
+    array is the field named by their `_ARRAY`."""
+
+    _ARRAY: str
+
+    def _store(self, arr: np.ndarray, spacing: tuple[float, float, float]) -> None:
+        object.__setattr__(self, self._ARRAY, _freeze(np.ascontiguousarray(arr)))
+        object.__setattr__(self, "spacing", spacing)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return getattr(self, self._ARRAY).shape
+
+    @property
+    def voxel_volume_cm3(self) -> float:
+        return voxel_volume_cm3(self.spacing)
+
+
 @dataclass(frozen=True)
-class Volume3D:
+class Volume3D(_Grid):
     """Scalar grid of shape (nx, ny, nz) with spacing (sx, sy, sz) in mm.
 
     Values are stored read-only as float64; construction copies writable
@@ -56,29 +95,17 @@ class Volume3D:
     spacing: tuple[float, float, float]
     unit: IntensityUnit = IntensityUnit.ARBITRARY
 
+    _ARRAY = "values"
+
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ParameterError(f"volume must be a non-empty 3D grid, got shape {arr.shape}")
+        spacing = check_grid(arr.shape, self.spacing)
         if not np.isfinite(arr).all():
             idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
             raise VolumeDataError(f"non-finite voxel value at index {idx}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(not math.isfinite(s) or s <= 0.0 for s in spacing):
-            raise ParameterError(f"spacing must be three positive mm values, got {self.spacing!r}")
         if not isinstance(self.unit, IntensityUnit):
             raise ParameterError(f"unit must be an IntensityUnit, got {self.unit!r}")
-        object.__setattr__(self, "values", _freeze(np.ascontiguousarray(arr)))
-        object.__setattr__(self, "spacing", spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.values.shape  # type: ignore[return-value]
-
-    @property
-    def voxel_volume_cm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz / 1000.0
+        self._store(arr, spacing)
 
     def with_unit(self, unit: IntensityUnit) -> "Volume3D":
         """Same grid, re-tagged intensity unit (no value change)."""
@@ -91,7 +118,6 @@ class AcquisitionInfo:
 
     injected_dose_MBq: float
     body_weight_kg: float
-    decay_corrected: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.injected_dose_MBq) and self.injected_dose_MBq > 0):
@@ -141,8 +167,6 @@ def _target_grid(
     out_dims = []
     coords = []
     for n, s, t in zip(dims, spacing, target_spacing):
-        if not (math.isfinite(t) and t > 0):
-            raise ParameterError(f"target spacing must be positive, got {target_spacing!r}")
         m = int(math.ceil(n * s / t))
         out_dims.append(max(m, 1))
         # voxel-center alignment: physical pos of output j is (j + 0.5)·t
@@ -163,12 +187,9 @@ def resample(
     """
     if mode not in ("nearest", "trilinear"):
         raise ParameterError(f"mode must be 'nearest' or 'trilinear', got {mode!r}")
-    out_dims, axes = _target_grid(vol.dims, vol.spacing, tuple(float(t) for t in target_spacing))
+    target = check_grid(vol.dims, target_spacing, ("dims", "target spacing"))
+    out_dims, axes = _target_grid(vol.dims, vol.spacing, target)
     grid = np.meshgrid(*axes, indexing="ij")
     order = 0 if mode == "nearest" else 1
     out = ndimage.map_coordinates(vol.values, np.stack(grid), order=order, mode="nearest")
-    return Volume3D(
-        _adopt(np.ascontiguousarray(out.reshape(out_dims))),
-        tuple(float(t) for t in target_spacing),
-        vol.unit,
-    )
+    return Volume3D(_adopt(np.ascontiguousarray(out.reshape(out_dims))), target, vol.unit)

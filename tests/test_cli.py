@@ -537,10 +537,21 @@ BAD_JSON = [
 ]
 
 
+# a degenerate grid used to be blamed on the lesion ("does not fit", "leaves
+# the volume"); the message now names the bad field
+BAD_GRID = [
+    ("phantom", json.dumps({"cohort": {**_COHORT, "dims": [0, 24, 16]}}), "dims"),
+    ("phantom", json.dumps({"cohort": {**_COHORT, "spacing_mm": [4, -4, 4]}}), "spacing"),
+    ("phantom", json.dumps({"lesion": {**_LESION, "dims": [0, 24, 16]}}), "dims"),
+    ("phantom", json.dumps({"lesion": {**_LESION, "spacing_mm": [4, 4, -4]}}), "spacing"),
+]
+BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID
+
+
 @pytest.mark.parametrize(
-    "command, text", BAD_JSON, ids=[f"{c}{i}" for i, (c, _) in enumerate(BAD_JSON)]
+    "command, text, field", BAD_INPUTS, ids=[f"{c}{i}" for i, (c, _, _) in enumerate(BAD_INPUTS)]
 )
-def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, command, text):
+def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, command, text, field):
     out, _ = lesion_files
     path = tmp_path / "in.json"
     path.write_text(text)
@@ -554,4 +565,5 @@ def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, command, text):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert str(path) in err and "Traceback" not in err
+    assert field is None or field in err
     assert not result.exists()

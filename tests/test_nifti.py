@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from petquant import nifti
 from petquant import (
     BinaryMask,
     IntensityUnit,
@@ -15,7 +18,7 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant.nifti import HEADER_SIZE, VOX_OFFSET
+from petquant.nifti import HEADER_SIZE, VOX_OFFSET, encode_nifti
 
 
 def make_vol(values, spacing=(4.0, 4.0, 4.0), unit=IntensityUnit.ARBITRARY):
@@ -60,6 +63,37 @@ class TestRoundtrip:
         back = read_mask(path)
         np.testing.assert_array_equal(back.bits, mask.bits)
         assert back.spacing == mask.spacing
+
+    def test_mask_sidecar_roundtrip(self, tmp_path, rng):
+        mask = BinaryMask(rng.random((4, 5, 6)) < 0.4, (4.0, 3.0, 2.0))
+        path = tmp_path / "m.json"
+        write_mask(mask, path)
+        back = read_mask(path)
+        np.testing.assert_array_equal(back.bits, mask.bits)
+        assert back.spacing == mask.spacing
+        raw = np.fromfile(tmp_path / "m.raw", dtype="<f4")
+        np.testing.assert_array_equal(raw, mask.bits.ravel(order="F").astype(np.float32))
+
+    def test_float_mask_read_opens_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.nii"
+        write_volume(make_vol(np.arange(8, dtype=float).reshape(2, 2, 2) % 3), path)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(nifti, "open", counting_open, raising=False)
+        mask = read_mask(path)
+        assert opened == [path]
+        np.testing.assert_array_equal(mask.bits, np.arange(8).reshape(2, 2, 2) % 3 != 0)
+
+    def test_nan_in_float_mask_rejected(self, tmp_path):
+        path = tmp_path / "m.nii"
+        write_volume(make_vol(np.ones((2, 2, 2))), path)
+        patch_header(path, VOX_OFFSET + 4, "<f", float("nan"))
+        with pytest.raises(VolumeDataError, match="index"):
+            read_mask(path)
 
     def test_sidecar_roundtrip(self, tmp_path):
         vol = make_vol(np.arange(12, dtype=float).reshape(3, 2, 2), unit=IntensityUnit.SUV)
@@ -157,6 +191,13 @@ class TestHeaderValidation:
             ("data", "ABSOLUTE"),
             ("data", "../v.raw"),
             ("data", "sub/../../v.raw"),
+            # appended, so the ids of the cases above stay put
+            ("unit", 5),
+            ("unit", "furlongs"),
+            ("dims", [0, 2, 2]),
+            ("spacing_mm", [4.0, -4.0, 4.0]),
+            ("data", ""),
+            ("data", "."),
         ],
     )
     def test_bad_sidecar_field_rejected(self, tmp_path, field, value):
@@ -173,22 +214,18 @@ class TestHeaderValidation:
 
 class TestIntegerDatatypes:
     def test_int16_payload_with_scaling(self, tmp_path):
-        from petquant.nifti import _nifti_bytes
-
         raw = np.arange(-4, 4, dtype="<i2").reshape(2, 2, 2)
         path = tmp_path / "i16.nii"
-        path.write_bytes(_nifti_bytes(raw, (4.0, 4.0, 4.0), datatype=4))
+        path.write_bytes(b"".join(encode_nifti(raw, (4.0, 4.0, 4.0), datatype=4)))
         patch_header(path, 112, "<f", 0.5)  # scl_slope
         patch_header(path, 116, "<f", 10.0)  # scl_inter
         back = read_volume(path)
         np.testing.assert_array_equal(back.values, raw.astype(float) * 0.5 + 10.0)
 
     def test_uint8_payload(self, tmp_path):
-        from petquant.nifti import _nifti_bytes
-
         raw = np.arange(8, dtype="<u1").reshape(2, 2, 2)
         path = tmp_path / "u8.nii"
-        path.write_bytes(_nifti_bytes(raw, (2.0, 2.0, 2.0), datatype=2))
+        path.write_bytes(b"".join(encode_nifti(raw, (2.0, 2.0, 2.0), datatype=2)))
         back = read_volume(path)
         np.testing.assert_array_equal(back.values, raw.astype(float))
         assert back.spacing == (2.0, 2.0, 2.0)
@@ -211,3 +248,95 @@ class TestScaling:
         patch_header(path, 112, "<f", 0.0)
         back = read_volume(path)
         np.testing.assert_array_equal(back.values, np.arange(8, dtype=float).reshape(2, 2, 2))
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _read_both(path) -> None:
+    """Either reader may only fail with the two volume-file errors."""
+    for reader in (read_volume, read_mask):
+        try:
+            reader(path)
+        except (VolumeFormatError, VolumeDataError):
+            pass
+
+
+# the header fields a reader interprets, as (offset, format): sizeof_hdr,
+# dim[0..3], datatype, bitpix, pixdim[1..3], vox_offset, scl_slope, scl_inter
+_FIELDS = [(0, "<i"), (40, "<h"), (42, "<h"), (44, "<h"), (46, "<h"), (70, "<h"), (72, "<h")]
+_FIELDS += [(80, "<f"), (84, "<f"), (88, "<f"), (108, "<f"), (112, "<f"), (116, "<f")]
+_LIMITS = {"<i": 2**31, "<h": 2**15}
+
+
+def _field_value(field):
+    fmt = field[1]
+    if fmt == "<f":
+        return st.floats(width=32) | st.sampled_from([0.0, -1.0, 352.0, 353.0, 1e30])
+    edge = st.sampled_from([-1, 0, 1, 2, 3, 4, 16, 348, _LIMITS[fmt] - 1])
+    return edge | st.integers(-_LIMITS[fmt], _LIMITS[fmt] - 1)
+
+
+def _valid_nifti(datatype: int) -> bytearray:
+    grid = np.arange(24).reshape(2, 3, 4) % 5
+    return bytearray(b"".join(encode_nifti(grid, (4.0, 3.0, 2.0), datatype)))
+
+
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFuzz:
+    # more examples here: a crash needs one field at an edge value and the rest valid
+    @settings(_FUZZ, max_examples=400)
+    @given(
+        datatype=st.sampled_from([2, 4, 16]),
+        fields=st.lists(
+            st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _field_value(f))),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_header_fields(self, tmp_path_factory, datatype, fields):
+        data = _valid_nifti(datatype)
+        for (offset, fmt), value in fields:
+            struct.pack_into(fmt, data, offset, value)
+        path = tmp_path_factory.mktemp("nii") / "v.nii"
+        path.write_bytes(bytes(data))
+        _read_both(path)
+
+    @_FUZZ
+    @given(
+        datatype=st.sampled_from([2, 4, 16]),
+        edits=st.lists(st.tuples(st.integers(0, 399), st.integers(0, 255)), max_size=4),
+        cut=st.none() | st.integers(0, 400),
+    )
+    def test_mutated_bytes_and_truncation(self, tmp_path_factory, datatype, edits, cut):
+        data = _valid_nifti(datatype)
+        for pos, byte in edits:
+            if pos < len(data):
+                data[pos] = byte
+        path = tmp_path_factory.mktemp("nii") / "v.nii"
+        path.write_bytes(bytes(data[:cut]))
+        _read_both(path)
+
+    @_FUZZ
+    @given(
+        field=st.sampled_from(["dims", "spacing_mm", "unit", "data"]),
+        value=_json_values()
+        | st.lists(st.integers(-2, 5), min_size=3, max_size=3)
+        | st.lists(st.floats() | st.integers(), min_size=3, max_size=3),
+    )
+    def test_sidecar_field_values(self, tmp_path_factory, field, value):
+        tmp = tmp_path_factory.mktemp("side")
+        write_volume(make_vol(np.ones((3, 2, 2))), tmp / "v.json")
+        meta = json.loads((tmp / "v.json").read_text())
+        meta[field] = value
+        (tmp / "v.json").write_text(json.dumps(meta))
+        _read_both(tmp / "v.json")

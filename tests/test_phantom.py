@@ -10,11 +10,14 @@ from petquant import (
     IntensityUnit,
     LesionSpec,
     LesionSpecError,
+    ParameterError,
     ResponseModel,
     derive_threshold,
     extract,
     generate,
     generate_cohort,
+    phantom,
+    read_mask,
 )
 
 DIMS = (24, 24, 24)
@@ -189,6 +192,50 @@ class TestGenerateCohort:
         generate_cohort(out_dir=tmp_path / "a", threads=1, **kw)
         generate_cohort(out_dir=tmp_path / "b", threads=4, **kw)
         assert _hash_dir(tmp_path / "a") == _hash_dir(tmp_path / "b")
+
+    def test_one_distance_grid_per_cohort(self, tmp_path, monkeypatch):
+        calls = []
+        original = phantom._distance_mm_grid
+        monkeypatch.setattr(
+            phantom, "_distance_mm_grid", lambda *a: calls.append(a) or original(*a)
+        )
+        generate_cohort(
+            3, ResponseModel(ratio_mean=0.5), seed=1, out_dir=tmp_path, dims=(20, 20, 16),
+            spacing=SPACING, baseline_radius_mm=12.0,
+        )
+        assert len(calls) == 1
+
+    def test_baseline_is_the_voxel_center_sphere(self, tmp_path):
+        dims, radius = (21, 20, 16), 12.0
+        generate_cohort(
+            2, ResponseModel(ratio_mean=0.5), seed=1, out_dir=tmp_path, dims=dims,
+            spacing=SPACING, baseline_radius_mm=radius,
+        )
+        center = [(n - 1) / 2.0 for n in dims]
+        want = np.zeros(dims, dtype=bool)
+        for x, y, z in np.ndindex(*dims):
+            d = math.sqrt(sum(((i - c) * s) ** 2 for i, c, s in zip((x, y, z), center, SPACING)))
+            want[x, y, z] = d <= radius
+        np.testing.assert_array_equal(read_mask(tmp_path / "p0000_bl_mask.nii").bits, want)
+
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            (dict(dims=(0, 24, 16)), "dims"),
+            (dict(dims=(24, 24)), "dims"),
+            (dict(spacing=(4.0, -4.0, 4.0)), "spacing"),
+            (dict(spacing=(4.0, float("nan"), 4.0)), "spacing"),
+        ],
+    )
+    def test_degenerate_grid_named_by_both_entry_points(self, tmp_path, grid, field):
+        kw = {"dims": (24, 24, 16), "spacing": SPACING, **grid}
+        with pytest.raises(ParameterError, match=field) as lesion:
+            generate(uniform_spec(center=(11.5, 11.5, 7.5)), **kw)
+        with pytest.raises(ParameterError, match=field) as cohort:
+            generate_cohort(2, ResponseModel(0.5), 0, tmp_path / "o", baseline_radius_mm=8.0, **kw)
+        assert not isinstance(lesion.value, LesionSpecError)
+        assert not isinstance(cohort.value, LesionSpecError)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(Exception):

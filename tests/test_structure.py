@@ -3,8 +3,10 @@
 The package keeps one thread map (`cohort.parallel_map`), one atomic writer
 (`serialize.write_bytes_atomic`), one manifest column list
 (`cohort.MANIFEST_COLUMNS`), one CSV table reader (`cohort.read_table`), one
-SUV reader (`cohort.read_suv`) and one JSON decoder in the CLI
-(`cli._read_json`); new call sites use those instead of copies.
+SUV reader (`cohort.read_suv`), one JSON decoder in the CLI
+(`cli._read_json`), one voxel-volume formula (`volume.voxel_volume_cm3`), one
+volume-file suffix dispatch (`nifti._format`) and one NIfTI header encoder;
+new call sites use those instead of copies.
 """
 
 import ast
@@ -63,3 +65,46 @@ def test_one_suv_conversion_outside_volume():
 
 def test_one_json_decoder_in_cli():
     assert len(_calls("json.loads", "cli.py")) == 1, _calls("json.loads", "cli.py")
+
+
+def test_one_unsupported_extension_message():
+    counts = {p.name: p.read_text().count("unsupported volume extension") for p in SRC.glob("*.py")}
+    assert sum(counts.values()) == 1, counts
+
+
+def test_one_nifti_header_encoder():
+    assert len(_calls("_nifti_header")) == 1, _calls("_nifti_header")
+
+
+def test_no_private_nifti_imports():
+    hits = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "nifti"
+        and any(alias.name.startswith("_") for alias in node.names)
+    ]
+    assert hits == [], hits
+
+
+def test_suffix_read_in_one_function():
+    # reading and writing both dispatch on nifti._format's answer
+    owners = {
+        where.split(":")[0] + ":" + node.name
+        for where, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "suffix" for n in ast.walk(node))
+    }
+    assert owners == {"nifti.py:_format"}, owners
+
+
+def test_one_voxel_volume_formula():
+    hits = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1000.0
+    ]
+    assert len(hits) == 1, hits

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IntensityUnitError
-from .mask import BinaryMask, require_same_geometry
+from .mask import BinaryMask, bounding_box, require_same_geometry
 from .volume import IntensityUnit, Volume3D
 
 
@@ -70,10 +70,12 @@ def extract(vol: Volume3D, mask: BinaryMask) -> BiomarkerSet:
     require_same_geometry(vol, mask)
     if vol.unit is not IntensityUnit.SUV:
         raise IntensityUnitError(f"biomarker extraction needs SUV input, got {vol.unit.value}")
-    count = mask.voxel_count
-    if count == 0:
+    box = bounding_box(mask.bits)
+    if box is None:
         return BiomarkerSet(0.0, 0.0, 0.0, 0.0, 0, ("empty mask: biomarkers set to zero",))
-    selected = vol.values[mask.bits]
+    # the box keeps the voxels' scan order, so mean's pairwise sum is unchanged
+    selected = vol.values[box][mask.bits[box]]
+    count = int(selected.size)
     suv_max = float(selected.max())
     suv_mean = float(selected.mean())
     mtv = count * vol.voxel_volume_cm3

@@ -2,6 +2,13 @@
 
 Masks share the voxel-grid geometry of their companion volume. Everything
 here is a pure function; masks are immutable and thread-safe to share.
+
+A lesion covers a tiny share of a PET grid, so the primitives that scan a
+mask (`centroid`, `boundary_voxels`, and `largest_component`/`fill_holes`
+as `segment.postprocess` calls them) work on the foreground's bounding box
+(`bounding_box`) and paste full-grid results back. A C-order sub-box keeps
+the lexicographic voxel order, so labels, tie-breaks and coordinate order
+are those of the full grid.
 """
 
 from __future__ import annotations
@@ -87,18 +94,45 @@ class Centroid:
     quadrant: Quadrant
 
 
+def bounding_box(bits: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
+    """Slices of the foreground's bounding box grown by `margin` voxels and
+    clipped to the grid; None when `bits` has no foreground."""
+    box = []
+    sub = bits
+    for axis in range(3):
+        other = tuple(i for i in range(3) if i != axis)
+        hit = np.flatnonzero(sub.any(axis=other))
+        if hit.size == 0:
+            return None
+        lo, hi = int(hit[0]), int(hit[-1]) + 1
+        # narrow to the slab found so far: only the first pass reads the whole grid
+        sub = sub[(slice(None),) * axis + (slice(lo, hi),)]
+        box.append(slice(max(lo - margin, 0), min(hi + margin, bits.shape[axis])))
+    return (box[0], box[1], box[2])
+
+
+def paste(bits: np.ndarray, box: tuple[slice, slice, slice], like: _Grid) -> BinaryMask:
+    """Full-grid mask on `like`'s geometry holding `bits` at `box`, empty elsewhere."""
+    full = np.zeros(like.dims, dtype=bool)
+    full[box] = bits
+    full.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
+    return BinaryMask(full, like.spacing)
+
+
 def centroid(mask: BinaryMask) -> Centroid:
     """Arithmetic mean of foreground voxel coordinates."""
-    total = mask.voxel_count
-    if total == 0:
+    box = bounding_box(mask.bits)
+    if box is None:
         raise EmptyRegionError("centroid of an empty mask is undefined")
+    inside = mask.bits[box]
+    total = int(inside.sum())
     # per-axis first moments; integer sums are exact, so this matches the
     # naive mean over argwhere coordinates bit for bit
     pos = []
     for axis in range(3):
         other = tuple(i for i in range(3) if i != axis)
-        counts = mask.bits.sum(axis=other)
-        pos.append(float(np.dot(counts, np.arange(mask.dims[axis]))) / total)
+        counts = inside.sum(axis=other)
+        pos.append(float(np.dot(counts, np.arange(box[axis].start, box[axis].stop))) / total)
     return Centroid((pos[0], pos[1], pos[2]), quadrant_of(pos[0], pos[1], mask.dims))
 
 
@@ -153,7 +187,11 @@ def fill_holes(mask: BinaryMask) -> BinaryMask:
 def boundary_voxels(mask: BinaryMask) -> np.ndarray:
     """Coordinates (N, 3) of foreground voxels with a 6-neighbor outside the
     mask or outside the volume, in lexicographic order."""
-    bits = mask.bits
+    box = bounding_box(mask.bits)
+    if box is None:
+        return np.empty((0, 3), dtype=np.intp)  # what argwhere gives for no voxels
+    bits = mask.bits[box]
+    # everything beyond the box is background, as the False padding says
     padded = np.pad(bits, 1, mode="constant", constant_values=False)
     interior = (
         padded[:-2, 1:-1, 1:-1]
@@ -163,7 +201,7 @@ def boundary_voxels(mask: BinaryMask) -> np.ndarray:
         & padded[1:-1, 1:-1, :-2]
         & padded[1:-1, 1:-1, 2:]
     )
-    return np.argwhere(bits & ~interior)
+    return np.argwhere(bits & ~interior) + np.array([sl.start for sl in box])
 
 
 def resample_mask(mask: BinaryMask, target_spacing: tuple[float, float, float]) -> BinaryMask:

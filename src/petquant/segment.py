@@ -8,6 +8,12 @@ iterative contrast-oriented rule whose threshold is a fixed point of
 where BG is estimated from a thin background shell around the ROI. Both
 return masks restricted to the ROI; the iterative method keeps only the
 component connected to the ROI maximum.
+
+The lesion and its ROI cover a tiny share of the grid, so the threshold
+selection, the seed labeling, the background shell and the
+post-processing morphology run on the foreground's bounding box
+(`mask.bounding_box`, plus the margin each needs) and paste full-grid
+masks back; the results are the full-grid ones bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +24,15 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyRegionError, ParameterError
-from .mask import BinaryMask, fill_holes, largest_component, require_same_geometry, _structure
+from .mask import (
+    BinaryMask,
+    _structure,
+    bounding_box,
+    fill_holes,
+    largest_component,
+    paste,
+    require_same_geometry,
+)
 from .volume import Volume3D
 
 DEFAULT_CONTRAST_A = 0.39
@@ -45,12 +59,16 @@ def background_estimate(vol: Volume3D, roi: BinaryMask) -> float:
 
     Returns 0.0 when the shell leaves the volume entirely (ROI fills the grid).
     """
+    # the dilations reach BACKGROUND_SHELL_GAP voxels, so they stay in this box
+    box = bounding_box(roi.bits, BACKGROUND_SHELL_GAP)
+    if box is None:
+        return 0.0
     struct = _structure(6)
-    inner = ndimage.binary_dilation(roi.bits, structure=struct, iterations=BACKGROUND_SHELL_GAP - 1)
+    inner = ndimage.binary_dilation(roi.bits[box], structure=struct, iterations=BACKGROUND_SHELL_GAP - 1)
     shell = ndimage.binary_dilation(inner, structure=struct) & ~inner
     if not shell.any():
         return 0.0
-    return float(vol.values[shell].mean())
+    return float(vol.values[box][shell].mean())
 
 
 @dataclass(frozen=True)
@@ -86,7 +104,10 @@ def threshold_contrast_iterative(
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
 
-    roi_values = vol.values[roi.bits]
+    box = bounding_box(roi.bits)
+    roi_bits = roi.bits[box]
+    box_values = vol.values[box]
+    roi_values = box_values[roi_bits]
     local_max = float(roi_values.max())
     bg = background_estimate(vol, roi)
     ref70 = 0.7 * local_max
@@ -106,21 +127,23 @@ def threshold_contrast_iterative(
             converged = True
             break
 
-    selected = roi.bits & (vol.values >= t_cur)
-    mask = BinaryMask(selected, vol.spacing)
-    if not mask.is_empty:
+    selected = roi_bits & (box_values >= t_cur)
+    if selected.any():
         # keep only the component holding the ROI maximum (first argmax in scan order)
-        flat_roi = np.argwhere(roi.bits & (vol.values == local_max))
-        seed = tuple(flat_roi[0])
-        labeled, n = ndimage.label(selected, structure=_structure(26))
+        seed = tuple(np.argwhere(roi_bits & (box_values == local_max))[0])
+        labeled, _ = ndimage.label(selected, structure=_structure(26))
         seed_label = labeled[seed]
         if seed_label > 0:
-            mask = BinaryMask(labeled == seed_label, vol.spacing)
-    return ContrastResult(mask, t_cur, converged, iterations)
+            selected = labeled == seed_label
+    return ContrastResult(paste(selected, box, vol), t_cur, converged, iterations)
 
 
 def postprocess(mask: BinaryMask) -> BinaryMask:
     """Largest 26-connected component with interior holes filled."""
-    if mask.is_empty:
+    # the 1-voxel margin keeps all exterior background 6-connected to the
+    # crop's border, so holes filled in the crop are the full grid's holes
+    box = bounding_box(mask.bits, 1)
+    if box is None:
         return mask
-    return fill_holes(largest_component(mask, connectivity=26))
+    crop = BinaryMask(mask.bits[box], mask.spacing)
+    return paste(fill_holes(largest_component(crop, connectivity=26)).bits, box, mask)

@@ -1,7 +1,8 @@
 """Shared fixtures and deliberately naive oracle implementations.
 
-The oracles here (BFS labeling, border flood fill, all-pairs Hausdorff)
-stay independent of the production code paths they check.
+The oracles here (BFS labeling, border flood fill, all-pairs Hausdorff,
+the full-grid background shell and contrast seed component) stay
+independent of the production code paths they check.
 """
 
 from __future__ import annotations
@@ -147,6 +148,56 @@ def brute_force_hausdorff(a_bits: np.ndarray, b_bits: np.ndarray, spacing) -> fl
         return worst
 
     return math.sqrt(max(directed(pa, pb), directed(pb, pa)))
+
+
+def grow_6(bits: np.ndarray) -> np.ndarray:
+    """One step of 6-neighbour growth by shifted copies (no scipy)."""
+    out = bits.copy()
+    for axis in range(3):
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        out[tuple(hi)] |= bits[tuple(lo)]
+        out[tuple(lo)] |= bits[tuple(hi)]
+    return out
+
+
+def full_grid_shell_mean(values: np.ndarray, roi_bits: np.ndarray, gap: int) -> float:
+    """Mean over the whole grid's voxels at city-block distance exactly `gap`
+    from the ROI, in scan order; 0.0 when there are none."""
+    reach = roi_bits.copy()
+    for _ in range(gap - 1):
+        reach = grow_6(reach)
+    shell = grow_6(reach) & ~reach
+    return float(values[shell].mean()) if shell.any() else 0.0
+
+
+def full_grid_seed_component(values: np.ndarray, roi_bits: np.ndarray, threshold: float) -> np.ndarray:
+    """ROI voxels >= threshold, cut to the 26-connected component (by BFS)
+    holding the ROI maximum's first voxel in scan order; all of them when
+    that voxel is not selected."""
+    selected = roi_bits & (values >= threshold)
+    roi_max = max(float(v) for v in values[roi_bits])
+    seed = next(
+        (x, y, z)
+        for x, y, z in np.ndindex(*values.shape)
+        if roi_bits[x, y, z] and values[x, y, z] == roi_max
+    )
+    if not selected[seed]:
+        return selected
+    comp = np.zeros_like(selected)
+    comp[seed] = True
+    queue = deque([seed])
+    dims = values.shape
+    while queue:
+        cx, cy, cz = queue.popleft()
+        for dx, dy, dz in OFFSETS_26:
+            n = (cx + dx, cy + dy, cz + dz)
+            if all(0 <= c < d for c, d in zip(n, dims)) and selected[n] and not comp[n]:
+                comp[n] = True
+                queue.append(n)
+    return comp
 
 
 def random_mask(rng: np.random.Generator, dims, p=0.3, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

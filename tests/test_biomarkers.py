@@ -45,7 +45,7 @@ class TestExtract:
         bio = extract(vol, BinaryMask(np.zeros(vol.dims, bool), vol.spacing))
         assert bio.voxel_count == 0
         assert bio.suv_max == bio.suv_mean == bio.mtv_cm3 == bio.tlg == 0.0
-        assert bio.warnings
+        assert bio.warnings == ("empty mask: biomarkers set to zero",)
 
     def test_wrong_unit_rejected(self):
         vol = Volume3D(np.ones((2, 2, 2)), (4, 4, 4), IntensityUnit.ACTIVITY_KBQ_PER_ML)

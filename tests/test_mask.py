@@ -150,7 +150,9 @@ class TestBoundary:
         assert (1, 1, 1) not in {tuple(v) for v in coords}
 
     def test_empty(self):
-        assert len(boundary_voxels(BinaryMask(np.zeros((2, 2, 2), bool), (1, 1, 1)))) == 0
+        got = boundary_voxels(BinaryMask(np.zeros((2, 2, 2), bool), (1, 1, 1)))
+        assert got.shape == (0, 3)
+        assert np.issubdtype(got.dtype, np.integer)
 
     @given(small_bits)
     @settings(max_examples=60, deadline=None)

@@ -152,6 +152,20 @@ class TestContrastIterative:
         with pytest.raises(EmptyRegionError):
             threshold_contrast_iterative(vol, BinaryMask(np.zeros(vol.dims, bool), vol.spacing))
 
+    def test_selecting_nothing_gives_empty_mask(self):
+        # a bright surround lifts the threshold above every ROI voxel
+        values = np.full((9, 9, 9), 100.0)
+        values[3:6, 3:6, 3:6] = 1.0
+        roi = np.zeros(values.shape, bool)
+        roi[3:6, 3:6, 3:6] = True
+        res = threshold_contrast_iterative(Volume3D(values, (1, 1, 1)), BinaryMask(roi, (1, 1, 1)))
+        assert res.threshold > 1.0
+        assert res.mask.is_empty and res.mask.dims == (9, 9, 9)
+
+    def test_roi_filling_the_grid_has_no_background(self):
+        vol, _ = sphere_phantom(dims=(4, 5, 6))
+        assert background_estimate(vol, full_roi(vol)) == 0.0
+
     def test_keeps_component_with_roi_max(self):
         values = np.full((9, 3, 3), 1.0)
         values[1, 1, 1] = 10.0  # secondary blob
@@ -184,8 +198,9 @@ class TestPostprocess:
         np.testing.assert_array_equal(postprocess(out).bits, out.bits)
 
     def test_empty_in_empty_out(self):
-        mask = BinaryMask(np.zeros((3, 3, 3), bool), (1, 1, 1))
-        assert postprocess(mask).is_empty
+        mask = BinaryMask(np.zeros((3, 4, 5), bool), (1, 1, 1))
+        out = postprocess(mask)
+        assert out.is_empty and out.dims == (3, 4, 5)
 
     def test_output_single_component_no_holes(self, rng):
         for _ in range(20):

@@ -5,8 +5,9 @@ The package keeps one thread map (`cohort.parallel_map`), one atomic writer
 (`cohort.MANIFEST_COLUMNS`), one CSV table reader (`cohort.read_table`), one
 SUV reader (`cohort.read_suv`), one JSON decoder in the CLI
 (`cli._read_json`), one voxel-volume formula (`volume.voxel_volume_cm3`), one
-volume-file suffix dispatch (`nifti._format`) and one NIfTI header encoder;
-new call sites use those instead of copies.
+volume-file suffix dispatch (`nifti._format`), one NIfTI header encoder and
+one foreground bounding box (`mask.bounding_box`); new call sites use those
+instead of copies.
 """
 
 import ast
@@ -108,3 +109,27 @@ def test_one_voxel_volume_formula():
         and node.right.value == 1000.0
     ]
     assert len(hits) == 1, hits
+
+
+
+def _is_axis_any(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "any"
+        and any(k.arg == "axis" for k in node.keywords)
+    )
+
+
+def test_one_bounding_box_routine():
+    defs = [w for w, node in _nodes() if isinstance(node, ast.FunctionDef) and node.name == "bounding_box"]
+    assert len(defs) == 1 and defs[0].startswith("mask.py:"), defs
+    # a per-axis `.any(axis=...)` reduction is how a box is found
+    owners = {
+        where.split(":")[0] + ":" + node.name
+        for where, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and any(_is_axis_any(n) for n in ast.walk(node))
+    }
+    assert owners == {"mask.py:bounding_box"}, owners
+    everywhere = [w for w, node in _nodes() if _is_axis_any(node)]
+    assert len(everywhere) == 1, everywhere

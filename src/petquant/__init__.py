@@ -42,14 +42,12 @@ from .mask import (
     Quadrant,
     boundary_voxels,
     centroid,
-    connected_components,
     fill_holes,
     largest_component,
     quadrant_of,
     regrid_nearest,
-    resample_mask,
 )
-from .metrics import dice, hausdorff_mm, iou, sensitivity
+from .metrics import dice, hausdorff_mm, iou, overlap_counts, sensitivity
 from .nifti import read_mask, read_volume, write_mask, write_volume
 from .phantom import LesionSpec, ResponseModel, generate, generate_cohort
 from .qc import (
@@ -78,7 +76,7 @@ from .stats import (
     regression_line,
     student_t_two_sided_p,
 )
-from .volume import AcquisitionInfo, IntensityUnit, Volume3D, normalize_zscore, resample, to_suv
+from .volume import AcquisitionInfo, IntensityUnit, Volume3D, to_suv
 
 __version__ = "0.1.0"
 
@@ -120,7 +118,6 @@ __all__ = [
     "check_pair",
     "combined_loss",
     "combined_loss_grad",
-    "connected_components",
     "delta",
     "derive_threshold",
     "dice",
@@ -136,7 +133,7 @@ __all__ = [
     "iou",
     "largest_component",
     "load_manifest",
-    "normalize_zscore",
+    "overlap_counts",
     "paired_ttest",
     "pearson",
     "postprocess",
@@ -146,8 +143,6 @@ __all__ = [
     "read_volume",
     "regrid_nearest",
     "regression_line",
-    "resample",
-    "resample_mask",
     "run_qc",
     "run_report",
     "select_extreme_outliers",

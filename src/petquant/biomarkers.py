@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IntensityUnitError
+import numpy as np
+
+from .errors import IntensityUnitError, VolumeDataError
 from .mask import BinaryMask, bounding_box, require_same_geometry
-from .volume import IntensityUnit, Volume3D
+from .volume import AcquisitionInfo, IntensityUnit, Volume3D
 
 
 @dataclass(frozen=True)
@@ -62,19 +64,29 @@ class DeltaSet:
         }
 
 
-def extract(vol: Volume3D, mask: BinaryMask) -> BiomarkerSet:
-    """Biomarkers over the masked region of an SUV volume.
+def extract(vol: Volume3D, mask: BinaryMask, acq: AcquisitionInfo | None = None) -> BiomarkerSet:
+    """Biomarkers over the masked region of an SUV volume or, given `acq`, of
+    an activity-concentration volume (kBq/mL) in body-weight SUV.
 
-    An empty mask yields an all-zero set flagged with a warning.
+    Only the masked voxels are scaled, each by `acq.suv_scale` as `to_suv`
+    scales every voxel, so the values are `extract(to_suv(vol, acq), mask)`'s
+    bit for bit. An empty mask yields an all-zero set flagged with a warning.
     """
     require_same_geometry(vol, mask)
-    if vol.unit is not IntensityUnit.SUV:
-        raise IntensityUnitError(f"biomarker extraction needs SUV input, got {vol.unit.value}")
+    need = IntensityUnit.SUV if acq is None else IntensityUnit.ACTIVITY_KBQ_PER_ML
+    if vol.unit is not need:
+        raise IntensityUnitError(
+            f"biomarker extraction needs {need.value} input, got {vol.unit.value}"
+        )
     box = bounding_box(mask.bits)
     if box is None:
         return BiomarkerSet(0.0, 0.0, 0.0, 0.0, 0, ("empty mask: biomarkers set to zero",))
-    # the box keeps the voxels' scan order, so mean's pairwise sum is unchanged
+    # the box keeps the voxels' logical index order, so mean's pairwise sum is unchanged
     selected = vol.values[box][mask.bits[box]]
+    if acq is not None:
+        selected *= acq.suv_scale
+        if not np.isfinite(selected).all():
+            raise VolumeDataError(f"SUV scale {acq.suv_scale} overflows a masked voxel value")
     count = int(selected.size)
     suv_max = float(selected.max())
     suv_mean = float(selected.mean())

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cohort as cohort_mod
-from .biomarkers import BiomarkerSet, delta as biomarker_delta, extract
+from .biomarkers import BiomarkerSet, delta as biomarker_delta
 from .errors import InputDataError, ParameterError, PetQuantError
 from .losses import LossParams, gradient_check
 from .mask import BinaryMask
@@ -103,12 +103,14 @@ def _fields(obj, where: str, types: dict, required=()) -> dict:
     return out
 
 
-def _parse_roi(spec: str | list, dims: tuple[int, int, int]) -> np.ndarray:
-    """Half-open voxel box x0,y0,z0,x1,y1,z1 from a --roi string or a config list.
+def _parse_roi(spec: str | list, grid: np.ndarray) -> np.ndarray:
+    """Half-open voxel box x0,y0,z0,x1,y1,z1 from a --roi string or a config
+    list, as a boolean grid in `grid`'s shape and memory layout.
 
     Every axis must satisfy 0 <= lo < hi <= dim: no negative (wrapped) index,
     no clipping, no empty box.
     """
+    dims = grid.shape
     parts = spec.split(",") if isinstance(spec, str) else spec
     try:
         # bools and floats are dropped here: int() would truncate them silently
@@ -120,7 +122,7 @@ def _parse_roi(spec: str | list, dims: tuple[int, int, int]) -> np.ndarray:
     if not all(0 <= bounds[i] < bounds[i + 3] <= dims[i] for i in range(3)):
         raise ParameterError(f"roi {spec!r} needs 0 <= lo < hi <= dim on each axis of {dims}")
     x0, y0, z0, x1, y1, z1 = bounds
-    box = np.zeros(dims, dtype=bool)
+    box = np.zeros_like(grid, dtype=bool)
     box[x0:x1, y0:y1, z0:z1] = True
     return box
 
@@ -154,9 +156,11 @@ def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
     """Segment one volume file into a mask file; returns the run's info."""
     vol = read_volume(vol_path)
     if cfg["roi"] is None:
-        roi = BinaryMask(np.ones(vol.dims, dtype=bool), vol.spacing)
+        bits = np.ones_like(vol.values, dtype=bool)
     else:
-        roi = BinaryMask(_parse_roi(cfg["roi"], vol.dims), vol.spacing)
+        bits = _parse_roi(cfg["roi"], vol.values)
+    bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
+    roi = BinaryMask(bits, vol.spacing)
     info: dict = {"method": cfg["method"]}
     if cfg["method"] == "pct_suvmax":
         mask = threshold_pct_suvmax(vol, roi, cfg["pct"])
@@ -215,7 +219,7 @@ def _cmd_quantify(args) -> int:
     if (args.dose is None) != (args.weight is None):
         raise UsageError("quantify: --dose and --weight must be given together")
     acq = None if args.dose is None else AcquisitionInfo(args.dose, args.weight)
-    bio = extract(cohort_mod.read_suv(args.volume, acq), read_mask(args.mask))
+    bio = cohort_mod.extract_file(args.volume, read_mask(args.mask), acq)
     payload = {"patient_id": args.patient_id, "timepoint": args.timepoint, **bio.as_dict()}
     _emit(payload, args.out)
     return 0

@@ -2,9 +2,10 @@
 
 A manifest is a CSV with the columns of `MANIFEST_COLUMNS`, the schema's one
 definition (paths relative to the manifest). When dose_MBq and weight_kg are
-both given the volumes are read as activity concentration and converted to
-SUV; when both are empty they are taken as SUV already. `read_table` is the
-one CSV reader (manifests, `compare --batch` pairs), `read_suv` the one SUV reader.
+both given the volumes are read as activity concentration and the masked
+voxels converted to SUV; when both are empty they are taken as SUV already.
+`read_table` is the one CSV reader (manifests, `compare --batch` pairs),
+`extract_file` the one reader of biomarkers from a volume file.
 
 Patient-level work runs through `parallel_map`; results are reduced in
 manifest order, so reports are byte-identical for any thread count.
@@ -35,7 +36,7 @@ from .qc import (
 )
 from .serialize import dumps_csv, dumps_json, write_text_atomic
 from .stats import boxplot_summary, paired_ttest
-from .volume import AcquisitionInfo, IntensityUnit, Volume3D, to_suv
+from .volume import AcquisitionInfo, IntensityUnit
 
 MANIFEST_COLUMNS = [
     "patient_id",
@@ -129,12 +130,12 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
     return entries
 
 
-def read_suv(path: str | Path, acq: AcquisitionInfo | None) -> Volume3D:
-    """A volume in SUV: activity concentration converted with `acq`, or,
-    with no acquisition info, values taken as SUV already."""
-    if acq is None:
-        return read_volume(path, unit=IntensityUnit.SUV)
-    return to_suv(read_volume(path, unit=IntensityUnit.ACTIVITY_KBQ_PER_ML), acq)
+def extract_file(path: str | Path, mask: BinaryMask, acq: AcquisitionInfo | None) -> BiomarkerSet:
+    """Biomarkers of a volume file under `mask`: its values read as activity
+    concentration and the masked ones converted with `acq`, or, with no
+    acquisition info, taken as SUV already."""
+    unit = IntensityUnit.SUV if acq is None else IntensityUnit.ACTIVITY_KBQ_PER_ML
+    return extract(read_volume(path, unit=unit), mask, acq)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ def _quantify_one(entry: CohortEntry) -> PatientQuant:
     acq = None if entry.dose_MBq is None else AcquisitionInfo(entry.dose_MBq, entry.weight_kg)
     bl_mask = read_mask(entry.bl_mask)
     fu_mask = read_mask(entry.fu_mask)
-    bl_bio = extract(read_suv(entry.bl_volume, acq), bl_mask)
-    fu_bio = extract(read_suv(entry.fu_volume, acq), fu_mask)
+    bl_bio = extract_file(entry.bl_volume, bl_mask, acq)
+    fu_bio = extract_file(entry.fu_volume, fu_mask, acq)
     bl_q = quadrant_on_grid(bl_mask, bl_mask.dims)
     fu_q = quadrant_on_grid(fu_mask, bl_mask.dims)
     return PatientQuant(entry, bl_bio, fu_bio, delta(bl_bio, fu_bio), bl_q, fu_q)
@@ -209,7 +210,7 @@ def export_annotation_batch(
         vol_path = out / f"{pid}_fu.nii"
         template_path = out / f"{pid}_mask_template.nii"
         write_volume(vol, vol_path)
-        write_mask(BinaryMask(np.zeros(vol.dims, dtype=bool), vol.spacing), template_path)
+        write_mask(BinaryMask(np.zeros_like(vol.values, dtype=bool), vol.spacing), template_path)
         tasks.append(
             {"patient_id": pid, "volume": vol_path.name, "mask_template": template_path.name}
         )

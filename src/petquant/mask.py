@@ -6,9 +6,10 @@ here is a pure function; masks are immutable and thread-safe to share.
 A lesion covers a tiny share of a PET grid, so the primitives that scan a
 mask (`centroid`, `boundary_voxels`, and `largest_component`/`fill_holes`
 as `segment.postprocess` calls them) work on the foreground's bounding box
-(`bounding_box`) and paste full-grid results back. A C-order sub-box keeps
-the lexicographic voxel order, so labels, tie-breaks and coordinate order
-are those of the full grid.
+(`bounding_box`) and paste full-grid results back. A sub-box keeps the
+logical (x, y, z) index order, whatever the memory layout, so labels,
+tie-breaks and coordinate order are those of the full grid. Full-grid
+masks made here take the layout of the grid they sit on.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyRegionError, GeometryMismatchError, ParameterError
-from .volume import Volume3D, _Grid, check_grid, resample
+from .volume import Volume3D, _Grid, check_grid
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
 _STRUCT_26 = ndimage.generate_binary_structure(3, 3)
@@ -97,23 +98,26 @@ class Centroid:
 def bounding_box(bits: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
     """Slices of the foreground's bounding box grown by `margin` voxels and
     clipped to the grid; None when `bits` has no foreground."""
-    box = []
+    box = [slice(None)] * 3
     sub = bits
-    for axis in range(3):
+    # outermost memory axis first (largest stride): that pass, the only one
+    # over the whole grid, then reduces contiguous slabs in C or F layout
+    for axis in sorted(range(3), key=lambda a: -bits.strides[a]):
         other = tuple(i for i in range(3) if i != axis)
         hit = np.flatnonzero(sub.any(axis=other))
         if hit.size == 0:
             return None
         lo, hi = int(hit[0]), int(hit[-1]) + 1
-        # narrow to the slab found so far: only the first pass reads the whole grid
+        # narrow to the slab found so far
         sub = sub[(slice(None),) * axis + (slice(lo, hi),)]
-        box.append(slice(max(lo - margin, 0), min(hi + margin, bits.shape[axis])))
+        box[axis] = slice(max(lo - margin, 0), min(hi + margin, bits.shape[axis]))
     return (box[0], box[1], box[2])
 
 
 def paste(bits: np.ndarray, box: tuple[slice, slice, slice], like: _Grid) -> BinaryMask:
-    """Full-grid mask on `like`'s geometry holding `bits` at `box`, empty elsewhere."""
-    full = np.zeros(like.dims, dtype=bool)
+    """Full-grid mask on `like`'s geometry and memory layout holding `bits`
+    at `box`, empty elsewhere."""
+    full = np.zeros_like(getattr(like, like._ARRAY), dtype=bool)
     full[box] = bits
     full.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
     return BinaryMask(full, like.spacing)
@@ -144,14 +148,8 @@ def _labels_by_size(mask: BinaryMask, connectivity: int) -> tuple[np.ndarray, np
     keeps it).
     """
     labeled, _ = ndimage.label(mask.bits, structure=_structure(connectivity))
-    counts = np.bincount(labeled.ravel())[1:]
+    counts = np.bincount(labeled.ravel(order="K"))[1:]  # order-free: no copy
     return labeled, np.argsort(-counts, kind="stable") + 1
-
-
-def connected_components(mask: BinaryMask, connectivity: int = 26) -> list[BinaryMask]:
-    """Disjoint components, largest first (see `_labels_by_size` for ties)."""
-    labeled, order = _labels_by_size(mask, connectivity)
-    return [BinaryMask(labeled == lab, mask.spacing) for lab in order]
 
 
 def largest_component(mask: BinaryMask, connectivity: int = 26) -> BinaryMask:
@@ -202,13 +200,6 @@ def boundary_voxels(mask: BinaryMask) -> np.ndarray:
         & padded[1:-1, 1:-1, 2:]
     )
     return np.argwhere(bits & ~interior) + np.array([sl.start for sl in box])
-
-
-def resample_mask(mask: BinaryMask, target_spacing: tuple[float, float, float]) -> BinaryMask:
-    """Nearest-neighbor mask resampling (labels must stay binary)."""
-    as_volume = Volume3D(mask.bits.astype(np.float64), mask.spacing)
-    out = resample(as_volume, target_spacing, mode="nearest")
-    return BinaryMask(out.values != 0.0, out.spacing)
 
 
 def regrid_nearest(mask: BinaryMask, target_dims: tuple[int, int, int]) -> BinaryMask:

@@ -1,6 +1,7 @@
 """Segmentation-quality metrics between two binary masks.
 
-Dice, IoU and sensitivity are plain overlap ratios. The Hausdorff distance
+Dice, IoU and sensitivity are plain overlap ratios of the integer counts
+`overlap_counts` takes on the union's bounding box. The Hausdorff distance
 is the exact maximum (no percentile variant) between boundary voxel centers,
 in millimeters, using the shared voxel spacing.
 """
@@ -12,36 +13,42 @@ import math
 import numpy as np
 
 from .errors import EmptyRegionError
-from .mask import BinaryMask, boundary_voxels, require_same_geometry
+from .mask import BinaryMask, boundary_voxels, bounding_box, require_same_geometry
+
+
+def overlap_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
+    """|A|, |B| and |A∩B| of two masks on one grid, counted on the box of A∪B."""
+    require_same_geometry(a, b)
+    box = bounding_box(a.bits | b.bits)
+    if box is None:
+        return 0, 0, 0
+    in_a, in_b = a.bits[box], b.bits[box]
+    return int(in_a.sum()), int(in_b.sum()), int((in_a & in_b).sum())
 
 
 def dice(a: BinaryMask, b: BinaryMask) -> float:
     """2|A∩B| / (|A| + |B|); 1.0 when both masks are empty."""
-    require_same_geometry(a, b)
-    total = int(a.bits.sum()) + int(b.bits.sum())
-    if total == 0:
+    n_a, n_b, inter = overlap_counts(a, b)
+    if n_a + n_b == 0:
         return 1.0
-    inter = int((a.bits & b.bits).sum())
-    return 2.0 * inter / total
+    return 2.0 * inter / (n_a + n_b)
 
 
 def iou(a: BinaryMask, b: BinaryMask) -> float:
     """|A∩B| / |A∪B|; 1.0 when both masks are empty."""
-    require_same_geometry(a, b)
-    union = int((a.bits | b.bits).sum())
+    n_a, n_b, inter = overlap_counts(a, b)
+    union = n_a + n_b - inter
     if union == 0:
         return 1.0
-    inter = int((a.bits & b.bits).sum())
     return inter / union
 
 
 def sensitivity(gt: BinaryMask, pred: BinaryMask) -> float:
     """True positive rate |GT∩Pred| / |GT|."""
-    require_same_geometry(gt, pred)
-    n_gt = int(gt.bits.sum())
+    n_gt, _, inter = overlap_counts(gt, pred)
     if n_gt == 0:
         raise EmptyRegionError("sensitivity needs a non-empty ground-truth mask")
-    return int((gt.bits & pred.bits).sum()) / n_gt
+    return inter / n_gt
 
 
 def _directed_max_min_sq(

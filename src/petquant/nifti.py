@@ -15,6 +15,11 @@ before the payload is opened), an unusable payload ``VolumeDataError``; the
 CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats;
 ``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
 written as float32, masks as uint8 0/1; reading promotes to float64.
+
+Grids stay in file order: a volume or mask read here is an F-contiguous
+(x-fastest) array, as the payload is stored, so reading widens without a
+transpose and writing a grid read from a file copies without one. Indexing
+is by (x, y, z) in either layout.
 """
 
 from __future__ import annotations
@@ -193,7 +198,7 @@ def _decode(path: Path) -> tuple:
 
 
 def _to_volume(grid: np.ndarray, spacing, slope: float, inter: float, unit) -> Volume3D:
-    values = grid.astype(np.float64, order="C")  # one pass: widen + transpose
+    values = grid.astype(np.float64, order="K")  # one pass, the file's layout kept
     if slope != 1.0 or inter != 0.0:
         values *= slope
         values += inter
@@ -225,7 +230,8 @@ def _nifti_header(shape: tuple[int, ...], spacing, datatype: int) -> bytes:
 
 def encode_nifti(values: np.ndarray, spacing, datatype: int) -> tuple[bytes, bytes]:
     """The one NIfTI encoder: header and x-fastest payload of `values` stored
-    as `datatype` (2 uint8, 4 int16, 16 float32), to write back to back."""
+    as `datatype` (2 uint8, 4 int16, 16 float32), to write back to back. An
+    F-contiguous grid converts without a transpose; a C one is transposed."""
     data = values.astype(_DTYPES[datatype], order="F")
     return _nifti_header(data.shape, spacing, datatype), data.tobytes(order="F")
 
@@ -262,7 +268,7 @@ def read_mask(path: str | os.PathLike) -> BinaryMask:
     grid, spacing, slope, inter, _ = _decode(Path(path))
     if grid.dtype.kind in "iu" and slope == 1.0 and inter == 0.0:
         # unscaled integer labels: no float copy, nothing non-finite to check
-        bits = np.ascontiguousarray(grid != 0)
+        bits = grid != 0  # the file's x-fastest layout, like grid
         bits.flags.writeable = False
         return BinaryMask(bits, spacing)
     vol = _to_volume(grid, spacing, slope, inter, IntensityUnit.ARBITRARY)  # checks finiteness

@@ -13,7 +13,9 @@ The lesion and its ROI cover a tiny share of the grid, so the threshold
 selection, the seed labeling, the background shell and the
 post-processing morphology run on the foreground's bounding box
 (`mask.bounding_box`, plus the margin each needs) and paste full-grid
-masks back; the results are the full-grid ones bit for bit.
+masks back; the results are the full-grid ones bit for bit. A box keeps the
+logical (x, y, z) index order, whatever the memory layout, so masked values,
+the first-argmax seed and `mean`'s pairwise sum come out in the same order.
 """
 
 from __future__ import annotations
@@ -49,9 +51,12 @@ def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask, pct: float) -> BinaryMa
         raise EmptyRegionError("ROI is empty")
     if not 0.0 < pct < 1.0:
         raise ParameterError(f"pct must lie in (0, 1), got {pct}")
-    vmax = float(vol.values[roi.bits].max())
-    # min() keeps the max voxel included when vmax < 0 (z-scored inputs)
-    return BinaryMask(roi.bits & (vol.values >= min(pct * vmax, vmax)), vol.spacing)
+    # no copy of the ROI's values: a whole-grid ROI holds every voxel
+    vmax = float(np.max(vol.values, where=roi.bits, initial=-np.inf))
+    # min() keeps the max voxel included when vmax < 0
+    bits = roi.bits & (vol.values >= min(pct * vmax, vmax))
+    bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
+    return BinaryMask(bits, vol.spacing)
 
 
 def background_estimate(vol: Volume3D, roi: BinaryMask) -> float:

@@ -1,8 +1,10 @@
-"""3D volume data model and intensity pre-processing.
+"""3D volume data model and SUV conversion.
 
 A :class:`Volume3D` is an immutable dense scalar grid with physical voxel
 spacing in mm and a declared intensity unit. All statistics run in float64;
 float32 appears only at the file boundary (see :mod:`petquant.nifti`).
+Grids keep the memory layout they are given, C- or F-contiguous: a volume
+read from a file stays in the file's x-fastest order.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import (
-    DegenerateInputError,
-    IntensityUnitError,
-    ParameterError,
-    VolumeDataError,
-)
+from .errors import IntensityUnitError, ParameterError, VolumeDataError
 
 
 class IntensityUnit(enum.Enum):
@@ -38,8 +34,10 @@ class IntensityUnit(enum.Enum):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    if arr.flags.writeable:
-        arr = arr.copy(order="C")
+    """`arr` itself when read-only and C- or F-contiguous, else a read-only
+    contiguous copy in the closest layout."""
+    if arr.flags.writeable or not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        arr = arr.copy(order="K")
         arr.flags.writeable = False
     return arr
 
@@ -71,7 +69,7 @@ class _Grid:
     _ARRAY: str
 
     def _store(self, arr: np.ndarray, spacing: tuple[float, float, float]) -> None:
-        object.__setattr__(self, self._ARRAY, _freeze(np.ascontiguousarray(arr)))
+        object.__setattr__(self, self._ARRAY, _freeze(arr))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -87,8 +85,9 @@ class _Grid:
 class Volume3D(_Grid):
     """Scalar grid of shape (nx, ny, nz) with spacing (sx, sy, sz) in mm.
 
-    Values are stored read-only as float64; construction copies writable
-    input arrays so volumes can be shared freely across threads.
+    Values are stored read-only as float64 in the input's memory layout (C
+    or F order; indexing is by (x, y, z) either way). Construction copies
+    writable input arrays so volumes can be shared freely across threads.
     """
 
     values: np.ndarray
@@ -107,10 +106,6 @@ class Volume3D(_Grid):
             raise ParameterError(f"unit must be an IntensityUnit, got {self.unit!r}")
         self._store(arr, spacing)
 
-    def with_unit(self, unit: IntensityUnit) -> "Volume3D":
-        """Same grid, re-tagged intensity unit (no value change)."""
-        return Volume3D(self.values, self.spacing, unit)
-
 
 @dataclass(frozen=True)
 class AcquisitionInfo:
@@ -125,6 +120,16 @@ class AcquisitionInfo:
         if not (math.isfinite(self.body_weight_kg) and self.body_weight_kg > 0):
             raise ParameterError(f"body weight must be > 0 kg, got {self.body_weight_kg}")
 
+    @property
+    def suv_scale(self) -> float:
+        """Body-weight SUV per kBq/mL: weight_kg / dose_MBq.
+
+        SUV = concentration · body weight / injected dose; with concentration
+        in kBq/mL, weight in kg and dose in MBq the kilo factors cancel (1 mL
+        of tissue taken as 1 g).
+        """
+        return self.body_weight_kg / self.injected_dose_MBq
+
 
 def _adopt(values: np.ndarray) -> np.ndarray:
     """Mark a freshly computed, un-aliased array read-only so the Volume3D
@@ -134,62 +139,11 @@ def _adopt(values: np.ndarray) -> np.ndarray:
 
 
 def to_suv(vol: Volume3D, acq: AcquisitionInfo) -> Volume3D:
-    """Convert an activity-concentration volume (kBq/mL) to body-weight SUV.
-
-    SUV = concentration · body weight / injected dose; with concentration in
-    kBq/mL, weight in kg and dose in MBq the kilo factors cancel (1 mL of
-    tissue taken as 1 g), so the scale factor is simply weight_kg / dose_MBq.
-    """
+    """Convert an activity-concentration volume (kBq/mL) to body-weight SUV
+    (every voxel times `acq.suv_scale`)."""
     if vol.unit is not IntensityUnit.ACTIVITY_KBQ_PER_ML:
         raise IntensityUnitError(
             f"SUV conversion needs activity concentration input, got {vol.unit.value}"
         )
-    scale = acq.body_weight_kg / acq.injected_dose_MBq
-    return Volume3D(_adopt(vol.values * scale), vol.spacing, IntensityUnit.SUV)
+    return Volume3D(_adopt(vol.values * acq.suv_scale), vol.spacing, IntensityUnit.SUV)
 
-
-def normalize_zscore(vol: Volume3D) -> Volume3D:
-    """Shift/scale the whole volume to mean 0, standard deviation 1."""
-    mean = float(vol.values.mean())
-    std = float(vol.values.std())
-    if std == 0.0:
-        raise DegenerateInputError("constant volume cannot be z-score normalized")
-    return Volume3D(_adopt((vol.values - mean) / std), vol.spacing, IntensityUnit.ARBITRARY)
-
-
-def _target_grid(
-    dims: tuple[int, int, int],
-    spacing: tuple[float, float, float],
-    target_spacing: tuple[float, float, float],
-) -> tuple[tuple[int, int, int], list[np.ndarray]]:
-    """Output dims (ceil of physical extent / target spacing) and, per axis,
-    the source index coordinate of each output voxel center."""
-    out_dims = []
-    coords = []
-    for n, s, t in zip(dims, spacing, target_spacing):
-        m = int(math.ceil(n * s / t))
-        out_dims.append(max(m, 1))
-        # voxel-center alignment: physical pos of output j is (j + 0.5)·t
-        idx = (np.arange(out_dims[-1], dtype=np.float64) + 0.5) * t / s - 0.5
-        coords.append(np.clip(idx, 0.0, n - 1))
-    return (out_dims[0], out_dims[1], out_dims[2]), coords
-
-
-def resample(
-    vol: Volume3D,
-    target_spacing: tuple[float, float, float],
-    mode: str = "trilinear",
-) -> Volume3D:
-    """Resample onto a grid with the given spacing.
-
-    mode "nearest" preserves the input value set (use for label data);
-    "trilinear" interpolates, output bounded by the input min/max.
-    """
-    if mode not in ("nearest", "trilinear"):
-        raise ParameterError(f"mode must be 'nearest' or 'trilinear', got {mode!r}")
-    target = check_grid(vol.dims, target_spacing, ("dims", "target spacing"))
-    out_dims, axes = _target_grid(vol.dims, vol.spacing, target)
-    grid = np.meshgrid(*axes, indexing="ij")
-    order = 0 if mode == "nearest" else 1
-    out = ndimage.map_coordinates(vol.values, np.stack(grid), order=order, mode="nearest")
-    return Volume3D(_adopt(np.ascontiguousarray(out.reshape(out_dims))), target, vol.unit)

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petquant import (
+    AcquisitionInfo,
     BinaryMask,
     BiomarkerSet,
     GeometryMismatchError,
     IntensityUnit,
     IntensityUnitError,
     Volume3D,
+    VolumeDataError,
     delta,
     extract,
 )
@@ -49,8 +51,19 @@ class TestExtract:
 
     def test_wrong_unit_rejected(self):
         vol = Volume3D(np.ones((2, 2, 2)), (4, 4, 4), IntensityUnit.ACTIVITY_KBQ_PER_ML)
+        mask = BinaryMask(np.ones((2, 2, 2), bool), (4, 4, 4))
         with pytest.raises(IntensityUnitError):
-            extract(vol, BinaryMask(np.ones((2, 2, 2), bool), (4, 4, 4)))
+            extract(vol, mask)
+        # with acquisition info the input is activity concentration, not SUV
+        with pytest.raises(IntensityUnitError, match="needs kBq/mL input"):
+            extract(suv_volume(np.ones((2, 2, 2))), mask, AcquisitionInfo(180.0, 60.0))
+
+    def test_scaled_value_overflow_rejected(self):
+        # a finite activity times weight/dose can overflow, as to_suv's grid would
+        vol = Volume3D(np.full((2, 2, 2), 1e10), (4, 4, 4), IntensityUnit.ACTIVITY_KBQ_PER_ML)
+        mask = BinaryMask(np.ones((2, 2, 2), bool), (4, 4, 4))
+        with pytest.raises(VolumeDataError, match="overflows"):
+            extract(vol, mask, AcquisitionInfo(1e-300, 60.0))
 
     def test_geometry_mismatch_rejected(self):
         vol = suv_volume(np.ones((2, 2, 2)))

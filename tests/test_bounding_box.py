@@ -6,6 +6,10 @@ against the naive full-grid oracles in conftest.
 (plus a margin) and paste full-grid results back. Blobs here land anywhere
 in grids up to 40³: flush with faces and corners, several components, and
 hollow shells whose cavity reaches the outside only through one opening.
+
+Grids read from NIfTI files are F-contiguous (x fastest), grids built in
+code mostly C-contiguous; every primitive gives the same result on C and F
+copies of one grid.
 """
 
 import numpy as np
@@ -16,20 +20,24 @@ from hypothesis.extra import numpy as npst
 from scipy import ndimage
 
 from petquant import (
+    AcquisitionInfo,
     BinaryMask,
     IntensityUnit,
     Volume3D,
     boundary_voxels,
     centroid,
-    connected_components,
     extract,
     fill_holes,
+    hausdorff_mm,
     largest_component,
+    overlap_counts,
     postprocess,
     threshold_contrast_iterative,
     threshold_pct_suvmax,
+    to_suv,
 )
-from petquant.mask import bounding_box
+from petquant.mask import _labels_by_size, bounding_box
+from petquant.nifti import encode_nifti
 from petquant.segment import BACKGROUND_SHELL_GAP, background_estimate
 
 from conftest import (
@@ -102,7 +110,8 @@ class TestAgainstOracles:
     def test_component_order(self, bits, connectivity):
         mask = as_mask(bits)
         oracle = bfs_components(bits, connectivity)
-        got = [{tuple(v) for v in np.argwhere(c.bits)} for c in connected_components(mask, connectivity)]
+        labeled, order = _labels_by_size(mask, connectivity)
+        got = [{tuple(v) for v in np.argwhere(labeled == lab)} for lab in order]
         assert got == oracle
         head = {tuple(v) for v in np.argwhere(largest_component(mask, connectivity).bits)}
         assert head == (oracle[0] if oracle else set())
@@ -154,6 +163,105 @@ class TestAgainstOracles:
             )
         else:
             assert got.voxel_count == 0 and got.warnings
+
+
+def layouts(bits):
+    """C- and F-contiguous masks of one grid (BinaryMask keeps the layout)."""
+    c, f = as_mask(np.ascontiguousarray(bits)), as_mask(np.asfortranarray(bits))
+    assert c.bits.flags.c_contiguous and f.bits.flags.f_contiguous
+    assert not f.bits.flags.c_contiguous  # every scene side is >= 3
+    return c, f
+
+
+def volume_layouts(bits, seed, unit=IntensityUnit.SUV, coarse=False):
+    """C- and F-contiguous copies of one noisy volume over `bits`."""
+    values = noisy_volume(bits, seed, coarse).values
+    return tuple(
+        Volume3D(order(values), SPACING, unit) for order in (np.ascontiguousarray, np.asfortranarray)
+    )
+
+
+class TestLayoutEquivalence:
+    @given(scenes(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_bounding_box(self, bits, margin):
+        c, f = layouts(bits)
+        assert bounding_box(c.bits, margin) == bounding_box(f.bits, margin)
+
+    @given(scenes())
+    @settings(max_examples=40, deadline=None)
+    def test_postprocess(self, bits):
+        c, f = layouts(bits)
+        got_c, got_f = postprocess(c), postprocess(f)
+        np.testing.assert_array_equal(got_c.bits, got_f.bits)
+        if bits.any():  # pasted back in the layout of the mask it came from
+            assert got_f.bits.flags.f_contiguous
+
+    @given(scenes(max_side=24), st.sampled_from([6, 26]))
+    @settings(max_examples=30, deadline=None)
+    def test_label_numbering(self, bits, connectivity):
+        (labeled_c, order_c), (labeled_f, order_f) = (
+            _labels_by_size(m, connectivity) for m in layouts(bits)
+        )
+        np.testing.assert_array_equal(labeled_c, labeled_f)
+        np.testing.assert_array_equal(order_c, order_f)
+
+    @given(scenes())
+    @settings(max_examples=40, deadline=None)
+    def test_centroid_and_boundary(self, bits):
+        c, f = layouts(bits)
+        np.testing.assert_array_equal(boundary_voxels(c), boundary_voxels(f))
+        if bits.any():
+            assert centroid(c) == centroid(f)
+
+    @given(scenes(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_background_estimate(self, bits, seed):
+        (vol_c, vol_f), (c, f) = volume_layouts(bits, seed), layouts(bits)
+        assert background_estimate(vol_c, c) == background_estimate(vol_f, f)
+
+    @given(scenes().filter(lambda b: b.any()), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_contrast_seed_component(self, bits, seed, coarse):
+        (vol_c, vol_f), (c, f) = volume_layouts(bits, seed, coarse=coarse), layouts(bits)
+        got_c = threshold_contrast_iterative(vol_c, c)
+        got_f = threshold_contrast_iterative(vol_f, f)
+        np.testing.assert_array_equal(got_c.mask.bits, got_f.mask.bits)
+        assert (got_c.threshold, got_c.iterations) == (got_f.threshold, got_f.iterations)
+        pct_c, pct_f = threshold_pct_suvmax(vol_c, c, 0.5), threshold_pct_suvmax(vol_f, f, 0.5)
+        np.testing.assert_array_equal(pct_c.bits, pct_f.bits)
+
+    @given(scenes(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_extract_with_and_without_a_scale(self, bits, seed):
+        acq = AcquisitionInfo(173.0, 71.5)
+        act_c, act_f = volume_layouts(bits, seed, IntensityUnit.ACTIVITY_KBQ_PER_ML)
+        suv_c, suv_f = volume_layouts(bits, seed)
+        c, f = layouts(bits)
+        want = extract(to_suv(act_c, acq), c)  # every voxel scaled, then extracted
+        for vol, mask in ((act_c, c), (act_f, f)):
+            assert extract(vol, mask, acq) == want
+        assert extract(suv_c, c) == extract(suv_f, f)
+
+    @given(scenes(), st.integers(-3, 3), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_overlap_counts_and_hausdorff(self, bits, shift, axis):
+        a_c, a_f = layouts(bits)
+        b_c, b_f = layouts(np.roll(bits, shift, axis))
+        other = b_c.bits
+        want = (int(bits.sum()), int(other.sum()), int((bits & other).sum()))
+        for a, b in ((a_c, b_c), (a_f, b_f), (a_c, b_f), (a_f, b_c)):
+            assert overlap_counts(a, b) == want
+        if bits.any():
+            assert hausdorff_mm(a_c, b_c) == hausdorff_mm(a_f, b_f)
+
+    @given(scenes(max_side=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_encode_nifti(self, bits, seed):
+        values = noisy_volume(bits, seed).values
+        for grid, datatype in ((bits, 2), (values, 16)):
+            c_bytes = encode_nifti(np.ascontiguousarray(grid), SPACING, datatype)
+            assert encode_nifti(np.asfortranarray(grid), SPACING, datatype) == c_bytes
 
 
 class TestBoundingBox:

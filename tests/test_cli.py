@@ -267,8 +267,9 @@ class TestSegment:
         assert not mask_path.exists()
 
     def test_benchmark_roi_is_valid(self):
-        box = _parse_roi("52,52,13,92,92,53", (144, 144, 66))
+        box = _parse_roi("52,52,13,92,92,53", np.zeros((144, 144, 66), order="F"))
         assert box.sum() == 40**3 and box[52, 52, 13] and not box[92, 92, 53]
+        assert box.flags.f_contiguous  # the layout of the grid it sits on
 
 
 @pytest.fixture(scope="module")

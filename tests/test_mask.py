@@ -10,13 +10,12 @@ from petquant import (
     Quadrant,
     boundary_voxels,
     centroid,
-    connected_components,
     fill_holes,
     largest_component,
     quadrant_of,
     regrid_nearest,
-    resample_mask,
 )
+from petquant.mask import _labels_by_size
 
 from conftest import (
     bfs_components,
@@ -27,6 +26,12 @@ from conftest import (
 )
 
 small_bits = npst.arrays(np.bool_, (4, 4, 4))
+
+
+def connected_components(mask, connectivity=26):
+    """The components of `mask`, largest first, as `_labels_by_size` ranks them."""
+    labeled, order = _labels_by_size(mask, connectivity)
+    return [BinaryMask(labeled == lab, mask.spacing) for lab in order]
 
 
 class TestConnectedComponents:
@@ -174,23 +179,6 @@ class TestBoundaryExtent:
         assert peeled.sum() == 27  # 5^3 shrinks to the 3^3 core
         lo, hi = np.argwhere(peeled).min(axis=0), np.argwhere(peeled).max(axis=0)
         assert (lo > 1).all() and (hi < 5).all()
-
-
-class TestResampleMask:
-    def test_stays_binary_and_preserves_shape_roughly(self):
-        bits = np.zeros((8, 8, 8), bool)
-        bits[2:6, 2:6, 2:6] = True
-        out = resample_mask(BinaryMask(bits, (2.0, 2.0, 2.0)), (1.0, 1.0, 1.0))
-        assert out.dims == (16, 16, 16)
-        assert out.bits.dtype == np.bool_
-        assert out.voxel_count == 8 * bits.sum()  # each voxel splits into 2^3
-
-    def test_identity_spacing(self):
-        bits = np.zeros((4, 4, 4), bool)
-        bits[1, 2, 3] = True
-        mask = BinaryMask(bits, (4.0, 4.0, 4.0))
-        out = resample_mask(mask, (4.0, 4.0, 4.0))
-        np.testing.assert_array_equal(out.bits, mask.bits)
 
 
 class TestRegrid:

@@ -10,6 +10,7 @@ from petquant import (
     dice,
     hausdorff_mm,
     iou,
+    overlap_counts,
     sensitivity,
 )
 
@@ -41,6 +42,7 @@ class TestOverlapMetrics:
         # |A| = |B| = 4 with overlap 2
         a = mask_from_coords([(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)], (2, 2, 2))
         b = mask_from_coords([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)], (2, 2, 2))
+        assert overlap_counts(a, b) == (4, 4, 2)
         assert dice(a, b) == 0.5
         assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -51,6 +53,7 @@ class TestOverlapMetrics:
 
     def test_both_empty_convention(self):
         a = as_mask(np.zeros((2, 2, 2), bool))
+        assert overlap_counts(a, a) == (0, 0, 0)
         assert dice(a, a) == 1.0
         assert iou(a, a) == 1.0
 

@@ -116,6 +116,31 @@ class TestRoundtrip:
             vol.values[0, 0, 0] = np.nan
 
 
+class TestReadPathLayout:
+    """A `.nii` grid stays in the file's x-fastest order from read to write."""
+
+    @pytest.fixture
+    def files(self, tmp_path, rng):
+        bits = rng.random((6, 5, 4)) < 0.4
+        vol_path, mask_path = tmp_path / "v.nii", tmp_path / "m.nii"
+        write_volume(make_vol(rng.normal(0, 10, bits.shape).astype(np.float32)), vol_path)
+        write_mask(BinaryMask(bits, (4.0, 4.0, 4.0)), mask_path)
+        return vol_path, mask_path
+
+    def test_read_grids_are_read_only_and_f_contiguous(self, files):
+        vol_path, mask_path = files
+        for arr in (read_volume(vol_path).values, read_mask(mask_path).bits):
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+            assert not arr.flags.writeable
+
+    def test_read_write_roundtrip_keeps_payload_bytes(self, files, tmp_path):
+        vol_path, mask_path = files
+        write_volume(read_volume(vol_path), tmp_path / "v2.nii")
+        write_mask(read_mask(mask_path), tmp_path / "m2.nii")
+        for a, b in ((vol_path, "v2.nii"), (mask_path, "m2.nii")):
+            assert a.read_bytes() == (tmp_path / b).read_bytes()
+
+
 class TestHeaderValidation:
     @pytest.fixture
     def valid_file(self, tmp_path):

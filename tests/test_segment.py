@@ -7,7 +7,6 @@ from petquant import (
     IntensityUnit,
     ParameterError,
     Volume3D,
-    connected_components,
     fill_holes,
     postprocess,
     threshold_contrast_iterative,
@@ -15,7 +14,7 @@ from petquant import (
 )
 from petquant.segment import background_estimate
 
-from conftest import mask_from_coords
+from conftest import bfs_components, mask_from_coords
 
 
 def line_volume(values, spacing=(4.0, 4.0, 4.0)):
@@ -208,5 +207,5 @@ class TestPostprocess:
             out = postprocess(BinaryMask(bits, (1, 1, 1)))
             if out.is_empty:
                 continue
-            assert len(connected_components(out, 26)) == 1
+            assert len(bfs_components(out.bits, 26)) == 1
             np.testing.assert_array_equal(fill_holes(out).bits, out.bits)

@@ -3,11 +3,14 @@
 The package keeps one thread map (`cohort.parallel_map`), one atomic writer
 (`serialize.write_bytes_atomic`), one manifest column list
 (`cohort.MANIFEST_COLUMNS`), one CSV table reader (`cohort.read_table`), one
-SUV reader (`cohort.read_suv`), one JSON decoder in the CLI
-(`cli._read_json`), one voxel-volume formula (`volume.voxel_volume_cm3`), one
-volume-file suffix dispatch (`nifti._format`), one NIfTI header encoder and
-one foreground bounding box (`mask.bounding_box`); new call sites use those
-instead of copies.
+SUV scale formula (`volume.AcquisitionInfo.suv_scale`), one JSON decoder in
+the CLI (`cli._read_json`), one voxel-volume formula
+(`volume.voxel_volume_cm3`), one volume-file suffix dispatch
+(`nifti._format`), one NIfTI header encoder and one foreground bounding box
+(`mask.bounding_box`); new call sites use those instead of copies.
+
+Grids keep one memory layout from file to report: the read path makes no
+C-order copy, and full-grid arrays made next to a grid take its layout.
 """
 
 import ast
@@ -60,8 +63,25 @@ def test_one_csv_reader():
 
 
 def test_one_suv_conversion_outside_volume():
-    hits = [w for w in _calls("to_suv") if not w.startswith("volume.py:")]
-    assert len(hits) == 1, hits
+    # one `weight / dose` SUV scale formula, `AcquisitionInfo.suv_scale`
+    formulas = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and "weight" in ast.unparse(node.left)
+        and "dose" in ast.unparse(node.right)
+    ]
+    assert len(formulas) == 1 and formulas[0].startswith("volume.py:"), formulas
+    # outside volume.py only `extract` applies it, to the masked voxels; no
+    # whole-grid `to_suv` on the quantify path
+    uses = {
+        where.split(":")[0]
+        for where, node in _nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "suv_scale"
+    }
+    assert uses == {"volume.py", "biomarkers.py"}, uses
+    assert _calls("to_suv") == [], _calls("to_suv")
 
 
 def test_one_json_decoder_in_cli():
@@ -133,3 +153,34 @@ def test_one_bounding_box_routine():
     assert owners == {"mask.py:bounding_box"}, owners
     everywhere = [w for w, node in _nodes() if _is_axis_any(node)]
     assert len(everywhere) == 1, everywhere
+
+
+def test_read_path_keeps_the_file_layout():
+    # the NIfTI payload is x-fastest: no C-order copy on the way in
+    hits = [
+        where
+        for name in ("nifti.py", "volume.py")
+        for where, node in _nodes(name)
+        if (isinstance(node, ast.Attribute) and node.attr == "ascontiguousarray")
+        or (
+            isinstance(node, ast.keyword)
+            and node.arg == "order"
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == "C"
+        )
+    ]
+    assert hits == [], hits
+
+
+def test_full_grids_take_their_grids_layout():
+    # np.zeros(dims) next to an F-order grid would make every mixed op a transpose
+    hits = [
+        where
+        for name in ("cli.py", "cohort.py", "mask.py", "segment.py")
+        for where, node in _nodes(name)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("np.zeros", "np.ones", "np.empty", "np.full")
+        and node.args
+        and any(key in ast.unparse(node.args[0]) for key in ("dims", "shape"))
+    ]
+    assert hits == [], hits

@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 
 from petquant import (
     AcquisitionInfo,
-    DegenerateInputError,
     IntensityUnit,
     IntensityUnitError,
     ParameterError,
     Volume3D,
     VolumeDataError,
-    normalize_zscore,
-    resample,
     to_suv,
 )
 
@@ -56,7 +53,9 @@ class TestToSuv:
     def test_hand_value(self):
         # 5 kBq/mL at 3 MBq/kg dosing on a 60 kg patient
         vol = make_vol(np.full((1, 1, 1), 5.0), unit=IntensityUnit.ACTIVITY_KBQ_PER_ML)
-        out = to_suv(vol, AcquisitionInfo(180.0, 60.0))
+        acq = AcquisitionInfo(180.0, 60.0)
+        assert acq.suv_scale == 60.0 / 180.0  # weight_kg / dose_MBq
+        out = to_suv(vol, acq)
         assert out.unit is IntensityUnit.SUV
         assert out.values[0, 0, 0] == pytest.approx(5.0 * 60.0 / 180.0, rel=1e-12)
 
@@ -85,54 +84,3 @@ class TestToSuv:
         b = to_suv(make_vol(base, unit=IntensityUnit.ACTIVITY_KBQ_PER_ML), acq)
         np.testing.assert_allclose(a.values, c * b.values, rtol=1e-12)
 
-
-class TestNormalize:
-    def test_two_values(self):
-        out = normalize_zscore(make_vol(np.array([[[0.0]], [[2.0]]])))
-        np.testing.assert_allclose(np.sort(out.values.ravel()), [-1.0, 1.0])
-
-    def test_constant_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            normalize_zscore(make_vol(np.ones((2, 2, 1))))
-
-    def test_statistics_recomputed(self, rng):
-        vol = make_vol(rng.normal(5.0, 3.0, (6, 5, 4)))
-        out = normalize_zscore(vol)
-        std_in = float(vol.values.std())
-        assert abs(float(out.values.mean())) < 1e-10 * std_in
-        assert abs(float(out.values.std()) - 1.0) < 1e-10
-
-
-class TestResample:
-    def test_identity_nearest(self):
-        vol = make_vol(np.arange(24, dtype=float).reshape(2, 3, 4))
-        out = resample(vol, vol.spacing, mode="nearest")
-        assert out.dims == vol.dims
-        np.testing.assert_array_equal(out.values, vol.values)
-
-    def test_dims_from_extent(self):
-        vol = make_vol(np.zeros((2, 1, 1)), spacing=(4.0, 4.0, 4.0))
-        out = resample(vol, (2.0, 2.0, 2.0), mode="trilinear")
-        assert out.dims == (4, 2, 2)
-
-    def test_trilinear_bounded(self):
-        values = np.zeros((2, 1, 1))
-        values[1, 0, 0] = 10.0
-        out = resample(make_vol(values), (2.0, 2.0, 2.0), mode="trilinear")
-        assert float(out.values.min()) >= 0.0
-        assert float(out.values.max()) <= 10.0
-
-    def test_nearest_preserves_value_set(self, rng):
-        vol = make_vol(rng.integers(0, 5, (4, 4, 4)).astype(float))
-        out = resample(vol, (1.7, 2.3, 3.1), mode="nearest")
-        assert set(np.unique(out.values)) <= set(np.unique(vol.values))
-
-    def test_constant_preserved(self):
-        out = resample(make_vol(np.full((3, 3, 3), 7.5)), (1.0, 2.0, 3.0), mode="trilinear")
-        np.testing.assert_array_equal(out.values, np.full(out.dims, 7.5))
-
-    def test_bad_spacing_rejected(self):
-        with pytest.raises(ParameterError):
-            resample(make_vol(np.zeros((2, 2, 2))), (0.0, 1.0, 1.0))
-        with pytest.raises(ParameterError):
-            resample(make_vol(np.zeros((2, 2, 2))), (1.0, 1.0, 1.0), mode="cubic")

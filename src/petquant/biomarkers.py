@@ -27,16 +27,6 @@ class BiomarkerSet:
     voxel_count: int
     warnings: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "suv_max": self.suv_max,
-            "suv_mean": self.suv_mean,
-            "mtv_cm3": self.mtv_cm3,
-            "tlg": self.tlg,
-            "voxel_count": self.voxel_count,
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass(frozen=True)
 class DeltaSet:
@@ -52,16 +42,6 @@ class DeltaSet:
     pct_d_suv_max: float | None
     mtv_ratio: float | None
     warnings: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "d_suv_max": self.d_suv_max,
-            "d_mtv_cm3": self.d_mtv_cm3,
-            "d_tlg": self.d_tlg,
-            "pct_d_suv_max": self.pct_d_suv_max,
-            "mtv_ratio": self.mtv_ratio,
-            "warnings": list(self.warnings),
-        }
 
 
 def extract(vol: Volume3D, mask: BinaryMask, acq: AcquisitionInfo | None = None) -> BiomarkerSet:
@@ -84,7 +64,8 @@ def extract(vol: Volume3D, mask: BinaryMask, acq: AcquisitionInfo | None = None)
     # the box keeps the voxels' logical index order, so mean's pairwise sum is unchanged
     selected = vol.values[box][mask.bits[box]]
     if acq is not None:
-        selected *= acq.suv_scale
+        with np.errstate(over="ignore"):  # reported by the finite check below
+            selected *= acq.suv_scale
         if not np.isfinite(selected).all():
             raise VolumeDataError(f"SUV scale {acq.suv_scale} overflows a masked voxel value")
     count = int(selected.size)

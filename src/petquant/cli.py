@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +221,7 @@ def _cmd_quantify(args) -> int:
         raise UsageError("quantify: --dose and --weight must be given together")
     acq = None if args.dose is None else AcquisitionInfo(args.dose, args.weight)
     bio = cohort_mod.extract_file(args.volume, read_mask(args.mask), acq)
-    payload = {"patient_id": args.patient_id, "timepoint": args.timepoint, **bio.as_dict()}
+    payload = {"patient_id": args.patient_id, "timepoint": args.timepoint, **asdict(bio)}
     _emit(payload, args.out)
     return 0
 
@@ -281,7 +282,7 @@ def _read_biomarker_json(path: str) -> BiomarkerSet:
 def _cmd_delta(args) -> int:
     bl = _read_biomarker_json(args.baseline)
     fu = _read_biomarker_json(args.followup)
-    _emit(biomarker_delta(bl, fu).as_dict(), args.out)
+    _emit(asdict(biomarker_delta(bl, fu)), args.out)
     return 0
 
 
@@ -361,18 +362,22 @@ def _cmd_phantom(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_volume(vol, out / "volume.nii")
     write_mask(mask, out / "mask.nii")
-    write_text_atomic(out / "ground_truth.json", dumps_json(bio.as_dict()))
-    _emit({"out": str(out), **bio.as_dict()}, None)
+    write_text_atomic(out / "ground_truth.json", dumps_json(asdict(bio)))
+    _emit({"out": str(out), **asdict(bio)}, None)
     return 0
 
 
+_LOSS_PARAMS = ("alpha", "beta", "gamma", "ftl_weight")
+
+
 def _cmd_loss_check(args) -> int:
-    params = LossParams(
-        alpha=args.alpha, beta=args.beta, gamma=args.gamma, ftl_weight=args.ftl_weight
-    )
-    report = gradient_check(
-        trials=args.trials, shape=(args.shape,) * 3, seed=args.seed, params=params
-    )
+    def given(keys) -> dict:  # flags left out take the library's defaults
+        return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+    check = given(("trials", "seed"))
+    if args.shape is not None:
+        check["shape"] = (args.shape,) * 3
+    report = gradient_check(params=LossParams(**given(_LOSS_PARAMS)), **check)
     report["passed"] = report["max_relative_error"] < args.tolerance
     report["tolerance"] = args.tolerance
     _emit(report, args.out)
@@ -455,14 +460,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_phantom)
 
     p = sub.add_parser("loss-check", parents=[common], help="analytic-vs-numeric gradient check")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--shape", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--shape", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--beta", type=float, default=0.3)
-    p.add_argument("--gamma", type=float, default=1.5)
-    p.add_argument("--ftl-weight", type=float, default=0.7, dest="ftl_weight")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--ftl-weight", type=float, dest="ftl_weight")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_loss_check)
 

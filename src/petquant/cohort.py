@@ -7,6 +7,10 @@ voxels converted to SUV; when both are empty they are taken as SUV already.
 `read_table` is the one CSV reader (manifests, `compare --batch` pairs),
 `extract_file` the one reader of biomarkers from a volume file.
 
+Each report row is one dict whose keys are its column names: `_write_table`
+takes a CSV's header from the first row, and the JSON reports are dicts in
+key order. README "Report files" lists every file's columns.
+
 Patient-level work runs through `parallel_map`; results are reduced in
 manifest order, so reports are byte-identical for any thread count.
 """
@@ -162,7 +166,14 @@ def _quantify_one(entry: CohortEntry) -> PatientQuant:
 
 
 def quantify_cohort(entries: list[CohortEntry], threads: int = 1) -> list[PatientQuant]:
+    if not entries:
+        raise ManifestError("cohort has no patients")
     return parallel_map(_quantify_one, entries, threads)
+
+
+def _write_table(path: Path, rows: list[dict]) -> None:
+    """A CSV report of one dict per row; the first row's keys are the header."""
+    write_text_atomic(path, dumps_csv(list(rows[0]), [list(row.values()) for row in rows]))
 
 
 def _qc_records(
@@ -237,38 +248,21 @@ def run_qc(
     threshold, records = _qc_records(quants, threshold)
     extreme = select_extreme_outliers(records, select_extreme) if select_extreme > 0 else []
 
-    rows = []
-    for q, r in zip(quants, records):
-        rows.append(
-            [
-                r.patient_id,
-                q.baseline.mtv_cm3,
-                r.mtv_ratio,
-                r.baseline_quadrant.value,
-                r.followup_quadrant.value,
-                r.quadrant_ok,
-                r.ratio_ok,
-                r.outlier_score,
-                not r.validated,
-            ]
-        )
-    write_text_atomic(
-        out / "qc_report.csv",
-        dumps_csv(
-            [
-                "patient_id",
-                "bl_mtv_cm3",
-                "mtv_ratio",
-                "baseline_quadrant",
-                "followup_quadrant",
-                "quadrant_ok",
-                "ratio_ok",
-                "outlier_score",
-                "flagged",
-            ],
-            rows,
-        ),
-    )
+    rows = [
+        {
+            "patient_id": r.patient_id,
+            "bl_mtv_cm3": q.baseline.mtv_cm3,
+            "mtv_ratio": r.mtv_ratio,
+            "baseline_quadrant": r.baseline_quadrant.value,
+            "followup_quadrant": r.followup_quadrant.value,
+            "quadrant_ok": r.quadrant_ok,
+            "ratio_ok": r.ratio_ok,
+            "outlier_score": r.outlier_score,
+            "flagged": not r.validated,
+        }
+        for q, r in zip(quants, records)
+    ]
+    _write_table(out / "qc_report.csv", rows)
     summary = {
         "threshold": threshold.value,
         "derivation": threshold.derivation.value,
@@ -283,11 +277,10 @@ def run_qc(
     return summary
 
 
-_PANELS = (
-    ("suv_max", lambda b: b.suv_max),
-    ("mtv_cm3", lambda b: b.mtv_cm3),
-    ("tlg", lambda b: b.tlg),
-)
+# BiomarkerSet / DeltaSet fields in their column order, read with getattr
+_BIOMARKERS = ("suv_max", "suv_mean", "mtv_cm3", "tlg", "voxel_count")
+_DELTAS = ("d_suv_max", "pct_d_suv_max", "d_mtv_cm3", "mtv_ratio", "d_tlg")
+_PANELS = ("suv_max", "mtv_cm3", "tlg")
 
 
 def run_report(
@@ -302,69 +295,49 @@ def run_report(
     out.mkdir(parents=True, exist_ok=True)
     quants = quantify_cohort(entries, threads)
 
-    table_rows = []
-    for q in quants:
-        for timepoint, bio in (("baseline", q.baseline), ("followup", q.followup)):
-            table_rows.append(
-                [
-                    q.entry.patient_id,
-                    timepoint,
-                    bio.suv_max,
-                    bio.suv_mean,
-                    bio.mtv_cm3,
-                    bio.tlg,
-                    bio.voxel_count,
-                ]
-            )
-    write_text_atomic(
+    _write_table(
         out / "biomarker_table.csv",
-        dumps_csv(
-            ["patient_id", "timepoint", "suv_max", "suv_mean", "mtv_cm3", "tlg", "voxel_count"],
-            table_rows,
-        ),
-    )
-
-    delta_rows = [
         [
-            q.entry.patient_id,
-            q.change.d_suv_max,
-            q.change.pct_d_suv_max,
-            q.change.d_mtv_cm3,
-            q.change.mtv_ratio,
-            q.change.d_tlg,
-        ]
-        for q in quants
-    ]
-    write_text_atomic(
+            {"patient_id": q.entry.patient_id, "timepoint": timepoint}
+            | {k: getattr(bio, k) for k in _BIOMARKERS}
+            for q in quants
+            for timepoint, bio in (("baseline", q.baseline), ("followup", q.followup))
+        ],
+    )
+    _write_table(
         out / "deltas.csv",
-        dumps_csv(
-            ["patient_id", "d_suv_max", "pct_d_suv_max", "d_mtv_cm3", "mtv_ratio", "d_tlg"],
-            delta_rows,
-        ),
+        [
+            {"patient_id": q.entry.patient_id} | {k: getattr(q.change, k) for k in _DELTAS}
+            for q in quants
+        ],
     )
 
-    panels = {}
-    for key, pick in _PANELS:
-        panels[key] = {
-            "baseline": boxplot_summary([pick(q.baseline) for q in quants]).as_dict(),
-            "followup": boxplot_summary([pick(q.followup) for q in quants]).as_dict(),
+    # (baseline values, follow-up values) per panel, in manifest order
+    series = {
+        k: ([getattr(q.baseline, k) for q in quants], [getattr(q.followup, k) for q in quants])
+        for k in _PANELS
+    }
+    panels = {
+        k: {
+            "baseline": boxplot_summary(before).as_dict(),
+            "followup": boxplot_summary(after).as_dict(),
         }
+        for k, (before, after) in series.items()
+    }
     write_text_atomic(out / "boxplot.json", dumps_json(panels))
 
     # after the three files above, so an empty mask still leaves them written
     threshold, records = _qc_records(quants, threshold)
-    scatter_rows = [
-        [q.baseline.mtv_cm3, r.mtv_ratio, not r.validated]
-        for q, r in zip(quants, records)
-    ]
-    write_text_atomic(
-        out / "qc_scatter.csv", dumps_csv(["bl_mtv_cm3", "mtv_ratio", "flagged"], scatter_rows)
+    _write_table(
+        out / "qc_scatter.csv",
+        [
+            {"bl_mtv_cm3": q.baseline.mtv_cm3, "mtv_ratio": r.mtv_ratio, "flagged": not r.validated}
+            for q, r in zip(quants, records)
+        ],
     )
 
     stats_payload: dict = {"n": len(quants), "threshold": threshold.value, "delta": {}}
-    for key, pick in _PANELS:
-        before = [pick(q.baseline) for q in quants]
-        after = [pick(q.followup) for q in quants]
+    for key, (before, after) in series.items():
         diffs = [a - b for a, b in zip(after, before)]
         n = len(diffs)
         mean = sum(diffs) / n

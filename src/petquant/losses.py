@@ -12,7 +12,7 @@ summation, so results are identical run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -165,11 +165,5 @@ def gradient_check(
         "step": step,
         "max_relative_error": worst,
         "losses_last_trial": last,
-        "params": {
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "gamma": params.gamma,
-            "ftl_weight": params.ftl_weight,
-            "smooth": params.smooth,
-        },
+        "params": asdict(params),
     }

@@ -14,7 +14,7 @@ parallel generation never changes the output bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -251,12 +251,7 @@ def generate_cohort(
         "seed": seed,
         "dims": list(dims),
         "spacing_mm": list(spacing),
-        "response": {
-            "ratio_mean": response.ratio_mean,
-            "ratio_sd": response.ratio_sd,
-            "outlier_fraction": response.outlier_fraction,
-            "outlier_ratio_min": response.outlier_ratio_min,
-        },
+        "response": asdict(response),
         "patients": [
             {
                 "patient_id": e["patient_id"],

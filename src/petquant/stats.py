@@ -64,16 +64,6 @@ class TTestResult:
     sd_diff: float
     significant: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "p": self.p,
-            "df": self.df,
-            "mean_diff": self.mean_diff,
-            "sd_diff": self.sd_diff,
-            "significant": self.significant,
-        }
-
 
 def paired_ttest(before, after) -> TTestResult:
     """Two-sided paired t-test on after − before."""
@@ -157,9 +147,6 @@ class RegressionLine:
     slope: float
     intercept: float
     r: float
-
-    def as_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r": self.r}
 
 
 def regression_line(x, y) -> RegressionLine:

@@ -119,6 +119,11 @@ class AcquisitionInfo:
             raise ParameterError(f"injected dose must be > 0 MBq, got {self.injected_dose_MBq}")
         if not (math.isfinite(self.body_weight_kg) and self.body_weight_kg > 0):
             raise ParameterError(f"body weight must be > 0 kg, got {self.body_weight_kg}")
+        if not (math.isfinite(self.suv_scale) and self.suv_scale > 0):
+            raise ParameterError(
+                f"weight {self.body_weight_kg} kg / dose {self.injected_dose_MBq} MBq gives"
+                f" SUV scale {self.suv_scale}, needs a finite value > 0"
+            )
 
     @property
     def suv_scale(self) -> float:

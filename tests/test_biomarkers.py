@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,11 +61,14 @@ class TestExtract:
             extract(suv_volume(np.ones((2, 2, 2))), mask, AcquisitionInfo(180.0, 60.0))
 
     def test_scaled_value_overflow_rejected(self):
-        # a finite activity times weight/dose can overflow, as to_suv's grid would
+        # a finite activity times weight/dose can overflow, as to_suv's grid would;
+        # the error is the only report, with no numpy RuntimeWarning before it
         vol = Volume3D(np.full((2, 2, 2), 1e10), (4, 4, 4), IntensityUnit.ACTIVITY_KBQ_PER_ML)
         mask = BinaryMask(np.ones((2, 2, 2), bool), (4, 4, 4))
-        with pytest.raises(VolumeDataError, match="overflows"):
-            extract(vol, mask, AcquisitionInfo(1e-300, 60.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VolumeDataError, match="overflows"):
+                extract(vol, mask, AcquisitionInfo(1e-300, 60.0))
 
     def test_geometry_mismatch_rejected(self):
         vol = suv_volume(np.ones((2, 2, 2)))

@@ -14,7 +14,9 @@ from petquant import (
     write_mask,
     write_volume,
 )
+from petquant import cli
 from petquant.cli import UsageError, _parse_roi, main
+from petquant.losses import LossParams
 from petquant.phantom import LesionSpec
 
 DIMS = (24, 24, 16)
@@ -119,6 +121,16 @@ class TestQuantifyAndDelta:
         )
         assert code == 0
         payload = json.loads(stdout)
+        assert list(payload) == [
+            "patient_id",
+            "timepoint",
+            "suv_max",
+            "suv_mean",
+            "mtv_cm3",
+            "tlg",
+            "voxel_count",
+            "warnings",
+        ]
         assert payload["patient_id"] == "p1"
         assert payload["suv_max"] == truth.suv_max
         assert payload["suv_mean"] == truth.suv_mean
@@ -166,6 +178,14 @@ class TestQuantifyAndDelta:
         )
         assert code == 0
         payload = json.loads(stdout)
+        assert list(payload) == [
+            "d_suv_max",
+            "d_mtv_cm3",
+            "d_tlg",
+            "pct_d_suv_max",
+            "mtv_ratio",
+            "warnings",
+        ]
         assert payload["d_suv_max"] == 0.0
         assert payload["mtv_ratio"] == 1.0
 
@@ -411,6 +431,29 @@ class TestPipelineCommands:
         assert report["passed"] is True
         assert report["max_relative_error"] < 1e-5
 
+    @pytest.mark.parametrize(
+        "argv, kwargs",
+        [
+            ((), {"params": LossParams()}),
+            (
+                ("--trials", "2", "--shape", "3", "--seed", "4", "--alpha", "0.5"),
+                {"trials": 2, "shape": (3, 3, 3), "seed": 4, "params": LossParams(alpha=0.5)},
+            ),
+        ],
+    )
+    def test_loss_check_passes_only_given_flags(self, monkeypatch, capsys, argv, kwargs):
+        # flags left out take gradient_check's and LossParams' own defaults
+        calls = []
+
+        def spy(**kw):
+            calls.append(kw)
+            return {"max_relative_error": 0.0}
+
+        monkeypatch.setattr(cli, "gradient_check", spy)
+        code, stdout, _ = run(capsys, "loss-check", *argv)
+        assert code == 0 and calls == [kwargs]
+        assert json.loads(stdout) == {"max_relative_error": 0.0, "passed": True, "tolerance": 1e-5}
+
 
 class TestThreadsDefault:
     def test_env_var_sets_default(self, monkeypatch):
@@ -486,6 +529,23 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "together" in err
+
+    @pytest.mark.parametrize("dose, weight", [("1e300", "1e-300"), ("1e-300", "1e300")])
+    def test_degenerate_suv_scale_exits_1(self, lesion_files, capsys, dose, weight):
+        # weight/dose underflowed to 0 (exit 0, SUVmax 0) or overflowed to inf (exit 2)
+        out, _ = lesion_files
+        code, stdout, err = run(
+            capsys,
+            "quantify",
+            str(out / "vol.nii"),
+            str(out / "mask.nii"),
+            "--dose",
+            dose,
+            "--weight",
+            weight,
+        )
+        assert (code, stdout) == (1, "")
+        assert "validation error" in err and "SUV scale" in err
 
     def test_validation_error_exits_1(self, lesion_files, tmp_path, capsys):
         out, _ = lesion_files

@@ -296,6 +296,84 @@ class TestRunReport:
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
 
 
+class TestEmptyCohort:
+    def test_rejected_before_any_file(self, tmp_path):
+        # run_qc used to write a header-only report with cohort_size 0, and
+        # run_report two header-only CSVs before boxplot_summary raised
+        with pytest.raises(ManifestError, match="cohort has no patients"):
+            quantify_cohort([])
+        with pytest.raises(ManifestError, match="cohort has no patients"):
+            run_qc([], tmp_path / "qc", threshold=fixed_threshold(5.0))
+        with pytest.raises(ManifestError, match="cohort has no patients"):
+            run_report([], tmp_path / "report")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+class TestReportLayout:
+    """Each report file's columns or keys, in order (README, "Report files")."""
+
+    @pytest.fixture(scope="class")
+    def out(self, cohort_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("layout")
+        entries = load_manifest(cohort_dir / "manifest.csv")
+        run_qc(entries, out / "qc", select_extreme=1)
+        run_report(entries, out / "report")
+        return out
+
+    @pytest.mark.parametrize(
+        "name, header",
+        [
+            (
+                "qc/qc_report.csv",
+                "patient_id,bl_mtv_cm3,mtv_ratio,baseline_quadrant,followup_quadrant,"
+                "quadrant_ok,ratio_ok,outlier_score,flagged",
+            ),
+            (
+                "report/biomarker_table.csv",
+                "patient_id,timepoint,suv_max,suv_mean,mtv_cm3,tlg,voxel_count",
+            ),
+            ("report/deltas.csv", "patient_id,d_suv_max,pct_d_suv_max,d_mtv_cm3,mtv_ratio,d_tlg"),
+            ("report/qc_scatter.csv", "bl_mtv_cm3,mtv_ratio,flagged"),
+        ],
+    )
+    def test_csv_header(self, out, name, header):
+        assert (out / name).read_text().splitlines()[0] == header
+
+    def test_json_keys(self, out):
+        summary = json.loads((out / "qc" / "qc_summary.json").read_text())
+        assert list(summary) == [
+            "threshold",
+            "derivation",
+            "cohort_size",
+            "n_outliers",
+            "n_quadrant_mismatch",
+            "extreme_ids",
+        ]
+        panels = ["suv_max", "mtv_cm3", "tlg"]
+        box = json.loads((out / "report" / "boxplot.json").read_text())
+        assert list(box) == panels
+        for panel in box.values():
+            assert list(panel) == ["baseline", "followup"]
+            for summary in panel.values():
+                assert list(summary) == [
+                    "min",
+                    "q1",
+                    "median",
+                    "q3",
+                    "max",
+                    "whisker_low",
+                    "whisker_high",
+                    "outliers",
+                ]
+        stats = json.loads((out / "report" / "stats.json").read_text())
+        assert list(stats) == ["n", "threshold", "delta"]
+        assert list(stats["delta"]) == panels
+        keys = ["mean", "sd", "sem", "t", "p", "df", "significant"]
+        assert list(stats["delta"]["mtv_cm3"]) == keys
+        # noiseless phantoms: SUVmax never changes, so no t-test with sd = 0
+        assert list(stats["delta"]["suv_max"]) == keys[:3]
+
+
 class TestExportBatch:
     def test_unknown_id_rejected(self, cohort_dir, tmp_path):
         entries = load_manifest(cohort_dir / "manifest.csv")

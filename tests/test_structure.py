@@ -11,6 +11,9 @@ the CLI (`cli._read_json`), one voxel-volume formula
 
 Grids keep one memory layout from file to report: the read path makes no
 C-order copy, and full-grid arrays made next to a grid take its layout.
+
+Report columns are named once: a CSV's header is its row dicts' keys, and no
+`as_dict` restates a dataclass's fields, which `dataclasses.asdict` gives.
 """
 
 import ast
@@ -182,5 +185,64 @@ def test_full_grids_take_their_grids_layout():
         and ast.unparse(node.func) in ("np.zeros", "np.ones", "np.empty", "np.full")
         and node.args
         and any(key in ast.unparse(node.args[0]) for key in ("dims", "shape"))
+    ]
+    assert hits == [], hits
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+
+
+def _is_string_list(node) -> bool:
+    return (
+        isinstance(node, (ast.List, ast.Tuple))
+        and len(node.elts) > 1
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+    )
+
+
+def test_report_columns_named_once():
+    # a report CSV's header is its row dicts' keys: one csv writer, `_write_table`,
+    # and no header literal; a string tuple may only list fields read with getattr
+    assert len(_calls("dumps_csv", "cohort.py")) == 1, _calls("dumps_csv", "cohort.py")
+    fields = {
+        name
+        for _, node in _nodes("biomarkers.py")
+        if isinstance(node, ast.ClassDef)
+        for name in _fields(node)
+    }
+    tree = ast.parse((SRC / "cohort.py").read_text())
+    manifest = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MANIFEST_COLUMNS"
+    ]
+    hits = [
+        node.lineno
+        for node in ast.walk(tree)
+        if _is_string_list(node)
+        and node not in manifest
+        and not {e.value for e in node.elts} <= fields
+    ]
+    assert len(manifest) == 1 and hits == [], hits
+
+
+def test_no_as_dict_restating_fields():
+    # dataclasses.asdict already gives a dataclass's fields in order
+    hits = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name == "as_dict"
+        and [
+            key.value
+            for d in ast.walk(fn)
+            if isinstance(d, ast.Dict)
+            for key in d.keys
+            if isinstance(key, ast.Constant)
+        ]
+        == _fields(node)
     ]
     assert hits == [], hits

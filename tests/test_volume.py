@@ -74,6 +74,14 @@ class TestToSuv:
         with pytest.raises(ParameterError):
             AcquisitionInfo(180.0, -3.0)
 
+    @pytest.mark.parametrize(
+        "dose, weight, scale", [(1e300, 1e-300, "0.0"), (1e-300, 1e300, "inf")]
+    )
+    def test_degenerate_suv_scale_rejected(self, dose, weight, scale):
+        # each finite and > 0, but weight/dose underflows to 0 or overflows to inf
+        with pytest.raises(ParameterError, match=f"SUV scale {scale}, needs a finite value > 0"):
+            AcquisitionInfo(dose, weight)
+
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_linearity(self, c):

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,16 +195,18 @@ def _cmd_segment(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
         def seg_one(entry):
-            row = [entry.patient_id]
-            for tag, vol_path in (("bl", entry.bl_volume), ("fu", entry.fu_volume)):
+            paths = {}
+            for tag in ("bl", "fu"):
+                vol_path = getattr(entry, f"{tag}_volume")
                 mask_path = out / f"{entry.patient_id}_{tag}_pred.nii"
                 _segment_file(vol_path, mask_path, cfg)
-                row.extend([os.path.relpath(vol_path, out), mask_path.name])
-            return [*row, entry.dose_MBq, entry.weight_kg]
+                paths[f"{tag}_volume"] = Path(os.path.relpath(vol_path, out))
+                paths[f"{tag}_mask"] = Path(mask_path.name)
+            return replace(entry, **paths)
 
         rows = cohort_mod.parallel_map(seg_one, entries, args.threads)
         manifest_path = out / "manifest.csv"
-        write_text_atomic(manifest_path, dumps_csv(cohort_mod.MANIFEST_COLUMNS, rows))
+        cohort_mod.write_manifest(manifest_path, rows)
         _emit({"manifest": str(manifest_path), "patients": len(rows)}, None)
         return 0
 
@@ -287,6 +289,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_qc(args) -> int:
+    if args.select_extreme < 0:  # before anything is read or written
+        raise UsageError(f"qc: --select-extreme must be >= 0, got {args.select_extreme}")
     entries = cohort_mod.load_manifest(args.manifest)
     summary = cohort_mod.run_qc(
         entries,

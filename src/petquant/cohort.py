@@ -1,9 +1,12 @@
 """Cohort manifest handling and the QC / report pipelines.
 
-A manifest is a CSV with the columns of `MANIFEST_COLUMNS`, the schema's one
-definition (paths relative to the manifest). When dose_MBq and weight_kg are
-both given the volumes are read as activity concentration and the masked
-voxels converted to SUV; when both are empty they are taken as SUV already.
+A manifest is a CSV whose columns are the fields of `CohortEntry`, the
+schema's one definition (`MANIFEST_COLUMNS` lists them; paths relative to the
+manifest). `load_manifest` reads one and `write_manifest` writes one. A
+patient_id holds no path separator, since outputs are named after it. When
+dose_MBq and weight_kg are both given the volumes are read as activity
+concentration and the masked voxels converted to SUV, so the pair must make an
+`AcquisitionInfo`; when both are empty they are taken as SUV already.
 `read_table` is the one CSV reader (manifests, `compare --batch` pairs),
 `extract_file` the one reader of biomarkers from a volume file.
 
@@ -18,16 +21,15 @@ manifest order, so reports are byte-identical for any thread count.
 from __future__ import annotations
 
 import csv
-import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
-from .errors import ManifestError
+from .errors import ManifestError, ParameterError
 from .mask import BinaryMask, Quadrant
 from .nifti import read_mask, read_volume, write_mask, write_volume
 from .qc import (
@@ -42,15 +44,21 @@ from .serialize import dumps_csv, dumps_json, write_text_atomic
 from .stats import boxplot_summary, paired_ttest
 from .volume import AcquisitionInfo, IntensityUnit
 
-MANIFEST_COLUMNS = [
-    "patient_id",
-    "bl_volume",
-    "bl_mask",
-    "fu_volume",
-    "fu_mask",
-    "dose_MBq",
-    "weight_kg",
-]
+
+@dataclass(frozen=True)
+class CohortEntry:
+    """One manifest row: the fields are the manifest's columns, in order."""
+
+    patient_id: str
+    bl_volume: Path
+    bl_mask: Path
+    fu_volume: Path
+    fu_mask: Path
+    dose_MBq: float | None = None
+    weight_kg: float | None = None
+
+
+MANIFEST_COLUMNS = [f.name for f in fields(CohortEntry)]
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -63,17 +71,6 @@ def parallel_map(fn, items, threads: int) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-@dataclass(frozen=True)
-class CohortEntry:
-    patient_id: str
-    bl_volume: Path
-    bl_mask: Path
-    fu_volume: Path
-    fu_mask: Path
-    dose_MBq: float | None = None
-    weight_kg: float | None = None
 
 
 def read_table(path: str | Path, required) -> Iterator[tuple[int, dict]]:
@@ -95,11 +92,15 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
     entries: list[CohortEntry] = []
     seen: set[str] = set()
     for lineno, row in read_table(p, MANIFEST_COLUMNS[:5]):
+        where = f"{p}:{lineno}"
         pid = row["patient_id"].strip()
         if not pid:
-            raise ManifestError(f"{p}:{lineno}: empty patient_id")
+            raise ManifestError(f"{where}: empty patient_id")
+        if "/" in pid or "\\" in pid:
+            # outputs are named after the id: a separator would write outside --out-dir
+            raise ManifestError(f"{where}: patient_id {pid!r} contains a path separator")
         if pid in seen:
-            raise ManifestError(f"{p}:{lineno}: duplicate patient_id {pid!r}")
+            raise ManifestError(f"{where}: duplicate patient_id {pid!r}")
         seen.add(pid)
 
         def _num(col: str) -> float | None:
@@ -107,31 +108,29 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
             if not raw:
                 return None
             try:
-                val = float(raw)
+                return float(raw)
             except ValueError as exc:
-                raise ManifestError(f"{p}:{lineno}: bad {col} value {raw!r}") from exc
-            if not (math.isfinite(val) and val > 0):
-                raise ManifestError(f"{p}:{lineno}: {col} must be positive and finite, got {raw!r}")
-            return val
+                raise ManifestError(f"{where}: bad {col} value {raw!r}") from exc
 
         dose, weight = _num("dose_MBq"), _num("weight_kg")
         if (dose is None) != (weight is None):
             # a lone value would read kBq/mL volumes as SUV
-            raise ManifestError(f"{p}:{lineno}: dose_MBq and weight_kg must be given together")
-        entries.append(
-            CohortEntry(
-                pid,
-                p.parent / row["bl_volume"],
-                p.parent / row["bl_mask"],
-                p.parent / row["fu_volume"],
-                p.parent / row["fu_mask"],
-                dose,
-                weight,
-            )
-        )
+            raise ManifestError(f"{where}: dose_MBq and weight_kg must be given together")
+        if dose is not None:
+            try:
+                AcquisitionInfo(dose, weight)
+            except ParameterError as exc:
+                raise ManifestError(f"{where}: {exc}") from exc
+        paths = (p.parent / row[col] for col in MANIFEST_COLUMNS[1:5])
+        entries.append(CohortEntry(pid, *paths, dose, weight))
     if not entries:
         raise ManifestError(f"{p}: manifest has no rows")
     return entries
+
+
+def write_manifest(path: Path, entries: list[CohortEntry]) -> None:
+    """A manifest of `entries`, one row of their fields each, paths as given."""
+    _write_table(path, [asdict(e) for e in entries])
 
 
 def extract_file(path: str | Path, mask: BinaryMask, acq: AcquisitionInfo | None) -> BiomarkerSet:
@@ -189,18 +188,10 @@ def _qc_records(
         )
     records = []
     for q in quants:
+        pid = q.entry.patient_id
         if q.bl_quadrant is None or q.fu_quadrant is None:
-            raise ManifestError(f"patient {q.entry.patient_id}: empty mask, cannot run QC")
-        records.append(
-            build_record(
-                q.entry.patient_id,
-                q.bl_quadrant,
-                q.fu_quadrant,
-                q.baseline.mtv_cm3,
-                q.followup.mtv_cm3,
-                thr,
-            )
-        )
+            raise ManifestError(f"patient {pid}: empty mask, cannot run QC")
+        records.append(build_record(pid, q.bl_quadrant, q.fu_quadrant, q.change, thr))
     return thr, records
 
 
@@ -246,7 +237,7 @@ def run_qc(
     out.mkdir(parents=True, exist_ok=True)
     quants = quantify_cohort(entries, threads)
     threshold, records = _qc_records(quants, threshold)
-    extreme = select_extreme_outliers(records, select_extreme) if select_extreme > 0 else []
+    extreme = select_extreme_outliers(records, select_extreme)
 
     rows = [
         {
@@ -319,8 +310,8 @@ def run_report(
     }
     panels = {
         k: {
-            "baseline": boxplot_summary(before).as_dict(),
-            "followup": boxplot_summary(after).as_dict(),
+            "baseline": asdict(boxplot_summary(before)),
+            "followup": asdict(boxplot_summary(after)),
         }
         for k, (before, after) in series.items()
     }

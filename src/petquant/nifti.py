@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, VolumeDataError, VolumeFormatError
+from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError
 from .mask import BinaryMask
 from .serialize import write_bytes_atomic
 from .volume import IntensityUnit, Volume3D, check_grid
@@ -251,10 +251,13 @@ def _write(path: Path, values: np.ndarray, spacing, datatype: int, unit: Intensi
 def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> Volume3D:
     """Read a volume; format chosen by extension (.nii or .json sidecar).
 
-    For NIfTI input the intensity unit defaults to ARBITRARY unless given;
-    sidecars carry their own unit (an explicit ``unit`` overrides it).
+    For NIfTI input the intensity unit defaults to ARBITRARY unless given.
+    Sidecars carry their own: an explicit ``unit`` may replace ``arbitrary``,
+    but one contradicting a declared SUV or kBq/mL raises IntensityUnitError.
     """
     grid, spacing, slope, inter, stored = _decode(Path(path))
+    if unit is not None and stored not in (None, IntensityUnit.ARBITRARY, unit):
+        raise IntensityUnitError(f"{path}: sidecar unit {stored.value}, read as {unit.value}")
     return _to_volume(grid, spacing, slope, inter, unit or stored or IntensityUnit.ARBITRARY)
 
 

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .biomarkers import BiomarkerSet
-from .cohort import MANIFEST_COLUMNS, parallel_map
+from .cohort import CohortEntry, parallel_map, write_manifest
 from .errors import LesionSpecError, ParameterError
 from .mask import BinaryMask
 from .nifti import encode_nifti
-from .serialize import dumps_csv, dumps_json, write_bytes_atomic, write_text_atomic
+from .serialize import dumps_json, write_bytes_atomic, write_text_atomic
 from .volume import IntensityUnit, Volume3D, check_grid, voxel_volume_cm3
 
 DEFAULT_DIMS = (144, 144, 66)
@@ -239,13 +239,13 @@ def generate_cohort(
             "fu": analytic(fu_count),
             "mtv_ratio": fu_count / bl_count,
             "is_outlier": i in outlier_idx,
-            "row": [pid, *names, DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG],
+            "entry": CohortEntry(pid, *map(Path, names), DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG),
         }
 
     entries = parallel_map(build_one, range(n), threads)
 
     manifest_path = out / "manifest.csv"
-    write_text_atomic(manifest_path, dumps_csv(MANIFEST_COLUMNS, [e["row"] for e in entries]))
+    write_manifest(manifest_path, [e["entry"] for e in entries])
 
     truth = {
         "seed": seed,

@@ -1,9 +1,10 @@
 """Two-step longitudinal quality control.
 
 Step one checks that baseline and follow-up lesion centroids fall in the
-same axial quadrant; step two compares the follow-up/baseline MTV ratio
-against a data-driven threshold (the reciprocal of the cohort mean ratio).
-Equality passes; only ratios strictly above the threshold are outliers.
+same axial quadrant; step two compares the pair's `DeltaSet.mtv_ratio`
+(infinite when a zero baseline MTV leaves it undefined) against a data-driven
+threshold (the reciprocal of the cohort mean ratio). Equality passes; only
+ratios strictly above the threshold are outliers.
 The most extreme outliers can be exported as an annotation batch.
 """
 
@@ -13,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .biomarkers import BiomarkerSet
+from .biomarkers import BiomarkerSet, DeltaSet, delta
 from .errors import DegenerateInputError, EmptyRegionError, ParameterError
 from .mask import BinaryMask, Quadrant, centroid, regrid_nearest
 
@@ -31,7 +32,6 @@ class ThresholdDerivation(enum.Enum):
 class QcThreshold:
     value: float
     derivation: ThresholdDerivation
-    cohort_size: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.value) and self.value > 0.0):
@@ -52,7 +52,7 @@ def derive_threshold(ratios) -> QcThreshold:
     mean = sum(vals) / len(vals)
     if mean <= 0.0:
         raise DegenerateInputError("mean MTV ratio is zero; threshold undefined")
-    return QcThreshold(1.0 / mean, ThresholdDerivation.RECIPROCAL_MEAN_RATIO, len(vals))
+    return QcThreshold(1.0 / mean, ThresholdDerivation.RECIPROCAL_MEAN_RATIO)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class QcRecord:
     quadrant_ok: bool
     ratio_ok: bool
     outlier_score: float
-    reason: str | None = None
 
     @property
     def validated(self) -> bool:
@@ -77,24 +76,13 @@ def build_record(
     patient_id: str,
     baseline_quadrant: Quadrant,
     followup_quadrant: Quadrant,
-    baseline_mtv_cm3: float,
-    followup_mtv_cm3: float,
+    change: DeltaSet,
     thr: QcThreshold,
 ) -> QcRecord:
-    """Apply both QC rules to precomputed quadrants and MTVs."""
+    """Apply both QC rules to precomputed quadrants and the pair's `DeltaSet`;
+    an undefined MTV ratio (zero baseline MTV) is infinite: an outlier."""
     quadrant_ok = baseline_quadrant == followup_quadrant
-    if baseline_mtv_cm3 <= 0.0:
-        return QcRecord(
-            patient_id,
-            baseline_quadrant,
-            followup_quadrant,
-            math.inf,
-            quadrant_ok,
-            False,
-            math.inf,
-            reason="zero_baseline_mtv",
-        )
-    ratio = followup_mtv_cm3 / baseline_mtv_cm3
+    ratio = math.inf if change.mtv_ratio is None else change.mtv_ratio
     ratio_ok = ratio <= thr.value
     score = max(0.0, ratio - thr.value)
     return QcRecord(
@@ -128,7 +116,7 @@ def check_pair(
     if fu_q is None:
         raise EmptyRegionError("follow-up mask vanished when regridded to baseline dims")
     bl_q = centroid(bl_mask).quadrant
-    return build_record(patient_id, bl_q, fu_q, bl_bio.mtv_cm3, fu_bio.mtv_cm3, thr)
+    return build_record(patient_id, bl_q, fu_q, delta(bl_bio, fu_bio), thr)
 
 
 def select_extreme_outliers(records: list[QcRecord], k: int) -> list[str]:

@@ -90,26 +90,16 @@ def _median(sorted_vals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BoxplotSummary:
-    minimum: float
+    """The fields are `boxplot.json`'s keys, in order."""
+
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
     whisker_low: float
     whisker_high: float
     outliers: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-        }
 
 
 def boxplot_summary(values) -> BoxplotSummary:

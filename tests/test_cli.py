@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from petquant import (
 )
 from petquant import cli
 from petquant.cli import UsageError, _parse_roi, main
+from petquant.cohort import MANIFEST_COLUMNS, load_manifest, write_manifest
 from petquant.losses import LossParams
 from petquant.phantom import LesionSpec
 
@@ -158,6 +160,19 @@ class TestQuantifyAndDelta:
         )
         assert code == 0
         assert json.loads(stdout)["suv_max"] == 6.0
+
+    def test_explicit_dose_on_suv_sidecar_exits_1(self, tmp_path, capsys):
+        # used to exit 0 with SUVmax 3.33: the SUV values were scaled as kBq/mL
+        write_volume(Volume3D(np.full(DIMS, 10.0), SPACING, IntensityUnit.SUV), tmp_path / "s.json")
+        bits = np.zeros(DIMS, bool)
+        bits[2:4, 2:4, 2:4] = True
+        write_mask(BinaryMask(bits, SPACING), tmp_path / "m.nii")
+        argv = ["quantify", str(tmp_path / "s.json"), str(tmp_path / "m.nii")]
+        code, stdout, err = run(capsys, *argv, "--dose", "180", "--weight", "60")
+        assert (code, stdout) == (1, "")
+        assert "s.json" in err and "SUV" in err and "kBq/mL" in err
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(stdout)["suv_max"] == 10.0
 
     def test_delta_roundtrip(self, lesion_files, tmp_path, capsys):
         out, _ = lesion_files
@@ -385,6 +400,56 @@ class TestPipelineCommands:
         assert code == 1
         assert "not allowed with" in err and "usage" in err
         assert not (tmp_path / "qc").exists()
+
+    def test_negative_select_extreme_exits_1(self, cohort_dir, tmp_path, capsys):
+        # used to exit 0: run_qc skipped the selection for any value <= 0
+        code, stdout, err = run(
+            capsys,
+            "qc",
+            "--manifest",
+            str(cohort_dir / "manifest.csv"),
+            "--out-dir",
+            str(tmp_path / "qc"),
+            "--select-extreme",
+            "-3",
+        )
+        assert (code, stdout) == (1, "")
+        assert "--select-extreme" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dose, weight", [("1e300", "1e-300"), ("1e-300", "1e300")])
+    def test_qc_degenerate_suv_scale_names_line(self, cohort_dir, tmp_path, capsys, dose, weight):
+        # used to exit 1 at extraction, without the line, after creating --out-dir
+        entry = load_manifest(cohort_dir / "manifest.csv")[0]
+        row = ",".join(str(getattr(entry, c)) for c in MANIFEST_COLUMNS[1:5])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            ",".join(MANIFEST_COLUMNS) + f"\np1,{row},180,60\np2,{row},{dose},{weight}\n"
+        )
+        code, stdout, err = run(
+            capsys, "qc", "--manifest", str(manifest), "--out-dir", str(tmp_path / "qc")
+        )
+        assert (code, stdout) == (1, "")
+        assert "manifest.csv:3: " in err and "SUV scale" in err
+        assert not (tmp_path / "qc").exists()
+
+    def test_segment_batch_rejects_escaping_patient_id(self, cohort_dir, tmp_path, capsys):
+        # "../../escaped" used to write escaped_{bl,fu}_pred.nii above --out-dir
+        entry = load_manifest(cohort_dir / "manifest.csv")[0]
+        manifest = tmp_path / "m" / "manifest.csv"
+        manifest.parent.mkdir()
+        write_manifest(manifest, [replace(entry, patient_id="../../escaped")])
+        code, stdout, err = run(
+            capsys,
+            "segment",
+            "--manifest",
+            str(manifest),
+            "--out-dir",
+            str(tmp_path / "deep" / "seg"),
+        )
+        assert (code, stdout) == (1, "")
+        assert "manifest.csv:2: " in err and "path separator" in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["m", "manifest.csv"]
 
     def test_report_command(self, cohort_dir, tmp_path, capsys):
         code, stdout, _ = run(

@@ -2,6 +2,8 @@ import csv
 import json
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant.cohort import parallel_map
+from petquant.cohort import MANIFEST_COLUMNS, CohortEntry, parallel_map, write_manifest
 
 from conftest import mask_from_coords
 
@@ -81,6 +83,17 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize("pid", ["../../escaped", "a/b", "a\\b", "/abs"])
+    def test_path_separator_in_patient_id_names_line(self, tmp_path, pid):
+        # outputs are named after the id: "../../escaped" wrote two levels above --out-dir
+        bad = tmp_path / "sep.csv"
+        bad.write_text(
+            "patient_id,bl_volume,bl_mask,fu_volume,fu_mask\n"
+            f"{pid},a.nii,b.nii,c.nii,d.nii\n"
+        )
+        with pytest.raises(ManifestError, match=r"sep\.csv:2: patient_id .* path separator"):
+            load_manifest(bad)
+
     def test_empty_manifest(self, tmp_path):
         bad = tmp_path / "empty.csv"
         bad.write_text("patient_id,bl_volume,bl_mask,fu_volume,fu_mask\n")
@@ -100,6 +113,8 @@ class TestManifest:
             ("180", "-inf"),
             ("180", ""),
             ("", "60"),
+            ("1e300", "1e-300"),  # SUV scale underflows to 0
+            ("1e-300", "1e300"),  # SUV scale overflows to inf
         ],
     )
     def test_bad_dose_or_weight_names_line(self, tmp_path, dose, weight):
@@ -121,6 +136,21 @@ class TestManifest:
         )
         (entry,) = load_manifest(path)
         assert entry.dose_MBq is None and entry.weight_kg is None
+
+    def test_write_then_load_round_trip(self, tmp_path):
+        entries = [
+            CohortEntry("p1", *(Path(f"d/p1_{c}.nii") for c in MANIFEST_COLUMNS[1:5]), 180.0, 60.0),
+            CohortEntry("p2", *(Path(f"../p2_{c}.nii") for c in MANIFEST_COLUMNS[1:5])),
+        ]
+        path = tmp_path / "m.csv"
+        write_manifest(path, entries)
+        header, _, no_dose = path.read_text().splitlines()
+        assert header == ",".join(MANIFEST_COLUMNS) and no_dose.endswith(",,")
+        joined = [
+            replace(e, **{c: tmp_path / getattr(e, c) for c in MANIFEST_COLUMNS[1:5]})
+            for e in entries
+        ]
+        assert load_manifest(path) == joined
 
 
 class TestParallelMap:

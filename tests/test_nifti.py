@@ -10,6 +10,7 @@ from petquant import nifti
 from petquant import (
     BinaryMask,
     IntensityUnit,
+    IntensityUnitError,
     Volume3D,
     VolumeDataError,
     VolumeFormatError,
@@ -104,6 +105,27 @@ class TestRoundtrip:
         np.testing.assert_array_equal(back.values, vol.values)
         meta = json.loads(path.read_text())
         assert set(meta) == {"dims", "spacing_mm", "unit", "data"}
+
+    @pytest.mark.parametrize(
+        "declared, asked",
+        [
+            (IntensityUnit.SUV, IntensityUnit.ACTIVITY_KBQ_PER_ML),
+            (IntensityUnit.ACTIVITY_KBQ_PER_ML, IntensityUnit.SUV),
+        ],
+    )
+    def test_explicit_unit_contradicting_sidecar_rejected(self, tmp_path, declared, asked):
+        # the explicit unit used to win: SUV values were scaled to SUV again
+        path = tmp_path / "v.json"
+        write_volume(make_vol(np.ones((2, 2, 2)), unit=declared), path)
+        with pytest.raises(IntensityUnitError, match=f"v.json: sidecar unit {declared.value}"):
+            read_volume(path, unit=asked)
+        assert read_volume(path, unit=declared).unit is declared
+
+    def test_explicit_unit_replaces_arbitrary_sidecar(self, tmp_path):
+        path = tmp_path / "v.json"
+        write_volume(make_vol(np.ones((2, 2, 2))), path)
+        assert read_volume(path).unit is IntensityUnit.ARBITRARY
+        assert read_volume(path, unit=IntensityUnit.SUV).unit is IntensityUnit.SUV
 
     def test_nan_volume_refused(self):
         # the writers have no finite check of their own: Volume3D refuses

@@ -43,7 +43,6 @@ class TestDeriveThreshold:
         thr = derive_threshold([0.25, 0.25, 0.25, 0.25])
         assert thr.value == 4.0
         assert thr.derivation is ThresholdDerivation.RECIPROCAL_MEAN_RATIO
-        assert thr.cohort_size == 4
 
     def test_single_ratio(self):
         assert derive_threshold([1.0]).value == 1.0
@@ -114,8 +113,7 @@ class TestCheckPair:
             block_mask(2), block_mask(2), bio(0.0), bio(1.0), fixed_threshold(), "p5"
         )
         assert not rec.ratio_ok
-        assert rec.reason == "zero_baseline_mtv"
-        assert math.isinf(rec.outlier_score)
+        assert math.isinf(rec.mtv_ratio) and math.isinf(rec.outlier_score)
 
     def test_empty_mask_rejected(self):
         empty = BinaryMask(np.zeros((4, 4, 4), bool), (4, 4, 4))

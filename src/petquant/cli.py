@@ -51,6 +51,14 @@ def _thread_count(raw: str) -> int:
     return int(raw)
 
 
+def _tolerance(raw: str) -> float:
+    """--tolerance: a finite number > 0 (NaN would fail every check, <= 0 pass none)."""
+    value = float(raw)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"needs a finite number > 0, got {raw!r}")
+    return value
+
+
 def _emit(payload: dict | str, out: str | None) -> None:
     text = payload if isinstance(payload, str) else dumps_json(payload)
     if out:
@@ -467,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int)
     p.add_argument("--shape", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-5)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)

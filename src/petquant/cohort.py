@@ -233,11 +233,11 @@ def run_qc(
     With no explicit threshold, one is derived from the finite MTV ratios of
     this cohort. Writes qc_report.csv and qc_summary.json in out_dir.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     quants = quantify_cohort(entries, threads)
     threshold, records = _qc_records(quants, threshold)
     extreme = select_extreme_outliers(records, select_extreme)
+    out = Path(out_dir)  # made once the inputs have loaded, so a failure leaves none
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = [
         {
@@ -282,9 +282,9 @@ def run_report(
 ) -> dict:
     """Emit biomarker_table.csv, deltas.csv, boxplot.json, qc_scatter.csv and
     stats.json for a cohort. Returns the stats payload."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     quants = quantify_cohort(entries, threads)
+    out = Path(out_dir)  # made once the inputs have loaded, so a failure leaves none
+    out.mkdir(parents=True, exist_ok=True)
 
     _write_table(
         out / "biomarker_table.csv",

@@ -1,8 +1,9 @@
 """Shared fixtures and deliberately naive oracle implementations.
 
 The oracles here (BFS labeling, border flood fill, all-pairs Hausdorff,
-the full-grid background shell and contrast seed component) stay
-independent of the production code paths they check.
+the full-grid background shell and contrast seed component, the per-voxel
+central differences) stay independent of the production code paths they
+check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from petquant import BinaryMask
+from petquant import BinaryMask, combined_loss
 
 OFFSETS_6 = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
 OFFSETS_26 = [
@@ -198,6 +199,23 @@ def full_grid_seed_component(values: np.ndarray, roi_bits: np.ndarray, threshold
                 comp[n] = True
                 queue.append(n)
     return comp
+
+
+def naive_central_differences(t: np.ndarray, p: np.ndarray, step: float, params) -> np.ndarray:
+    """(L(p + step·e_i) − L(p − step·e_i)) / (2·step), one pair of public
+    combined_loss calls per voxel, perturbing a copy of p in place."""
+    q = p.copy()
+    flat = q.ravel()  # a view: q is contiguous
+    fd = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = combined_loss(t, q, params)
+        flat[i] = orig - step
+        lo = combined_loss(t, q, params)
+        flat[i] = orig
+        fd[i] = (hi - lo) / (2.0 * step)
+    return fd
 
 
 def random_mask(rng: np.random.Generator, dims, p=0.3, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

@@ -451,6 +451,19 @@ class TestPipelineCommands:
         assert "manifest.csv:2: " in err and "path separator" in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["m", "manifest.csv"]
 
+    @pytest.mark.parametrize("command", ["qc", "report"])
+    def test_missing_mask_leaves_no_out_dir(self, cohort_dir, tmp_path, capsys, command):
+        # the out-dir used to be created before the cohort was quantified
+        entry = load_manifest(cohort_dir / "manifest.csv")[0]
+        manifest = tmp_path / "m" / "manifest.csv"
+        manifest.parent.mkdir()
+        write_manifest(manifest, [replace(entry, bl_mask=tmp_path / "missing.nii")])
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--manifest", str(manifest), "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        assert "missing.nii" in err
+        assert not out.exists()
+
     def test_report_command(self, cohort_dir, tmp_path, capsys):
         code, stdout, _ = run(
             capsys,
@@ -518,6 +531,31 @@ class TestPipelineCommands:
         code, stdout, _ = run(capsys, "loss-check", *argv)
         assert code == 0 and calls == [kwargs]
         assert json.loads(stdout) == {"max_relative_error": 0.0, "passed": True, "tolerance": 1e-5}
+
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            # each used to exit 0 with "passed": true, or crash, or fail as a check
+            (("--trials", "0"), "validation error"),
+            (("--trials", "-2"), "validation error"),
+            (("--alpha", "nan"), "validation error"),
+            (("--alpha", "inf"), "validation error"),
+            (("--gamma", "inf"), "validation error"),
+            (("--shape", "0"), "validation error"),
+            (("--shape", "-1"), "validation error"),
+            (("--tolerance", "nan"), "usage error"),
+            (("--tolerance", "-1"), "usage error"),
+        ],
+    )
+    def test_loss_check_bad_flag_exits_1(self, tmp_path, capsys, argv, kind):
+        out = tmp_path / "loss.json"
+        code, stdout, err = run(
+            capsys, "loss-check", "--shape", "3", "--out", str(out), "--json-errors", *argv
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["error"] == kind
+        assert not out.exists()
 
 
 class TestThreadsDefault:

@@ -1,10 +1,13 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_central_differences
+from petquant import losses
 from petquant import (
     BinaryMask,
     GeometryMismatchError,
@@ -178,3 +181,87 @@ class TestGradient:
                 fd = (hi - lo) / (2.0 * h)
                 denom = max(abs(fd), abs(grad.ravel()[i]), 1e-8)
                 assert abs(grad.ravel()[i] - fd) / denom < 1e-5
+
+
+class TestBatchedCentralDifferences:
+    PARAMS = [
+        LossParams(gamma=g, ftl_weight=w) for g in (0.5, 1.0, 1.5) for w in (0.0, 0.7, 1.0)
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("side", [1, 3, 5, 9])  # 9³ spans twelve 64-row blocks
+    def test_bit_identical_to_per_voxel_loop(self, side, seed):
+        rng = np.random.default_rng(seed)
+        t, p = random_pair(rng, (side,) * 3)
+        for params in self.PARAMS:
+            a = losses._central_differences(t, p, 1e-5, params)
+            b = naive_central_differences(t, p, 1e-5, params)
+            assert (a.view(np.uint64) == b.view(np.uint64)).all(), params
+
+    def test_report_equals_naive_loop(self):
+        params = LossParams()
+        rng = np.random.default_rng(4)
+        rels = []
+        for _ in range(3):
+            t = (rng.random((5, 5, 5)) < 0.5).astype(np.float64)
+            p = rng.uniform(0.05, 0.95, (5, 5, 5))
+            grad = combined_loss_grad(t, p, params).ravel()
+            fd = naive_central_differences(t, p, 1e-5, params)
+            denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
+            rels.append(float((np.abs(grad - fd) / denom).max()))
+        last = {
+            "tversky_index": tversky_index(t, p, params),
+            "focal_tversky_loss": focal_tversky_loss(t, p, params),
+            "bce_loss": bce_loss(t, p, params),
+            "combined_loss": combined_loss(t, p, params),
+        }
+        report = losses.gradient_check(trials=3, shape=(5, 5, 5), seed=4, params=params)
+        assert repr(report) == repr(
+            {
+                "trials": 3,
+                "shape": [5, 5, 5],
+                "step": 1e-5,
+                "max_relative_error": max(rels),
+                "losses_last_trial": last,
+                "params": asdict(params),
+            }
+        )
+
+    def test_step_outside_unit_interval_rejected(self):
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            losses.gradient_check(trials=1, shape=(3, 3, 3), step=0.5)
+
+    def test_one_combined_loss_call_per_trial(self, monkeypatch):
+        # the per-voxel loop made 2·27 + 1 calls per trial on 3³ maps
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return combined_loss(*args)
+
+        monkeypatch.setattr(losses, "combined_loss", counted)
+        losses.gradient_check(trials=4, shape=(3, 3, 3))
+        assert len(calls) == 4
+
+    def test_nan_relative_error_is_the_worst(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN in the first trial used to vanish
+        nan_grads = [np.full((3, 3, 3), np.nan)]
+
+        def first_nan(t, p, params):
+            return nan_grads.pop() if nan_grads else combined_loss_grad(t, p, params)
+
+        monkeypatch.setattr(losses, "combined_loss_grad", first_nan)
+        report = losses.gradient_check(trials=2, shape=(3, 3, 3))
+        assert math.isnan(report["max_relative_error"])
+
+    @pytest.mark.parametrize("kw", [{"trials": 0}, {"trials": -2}, {"shape": (3, 0, 3)}])
+    def test_empty_check_rejected(self, kw):
+        with pytest.raises(ParameterError, match="trials >= 1"):
+            losses.gradient_check(**{"trials": 1, "shape": (3, 3, 3)} | kw)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "smooth"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected(name, value):
+    with pytest.raises(ParameterError, match="finite"):
+        LossParams(**{name: value})

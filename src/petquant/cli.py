@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from .biomarkers import BiomarkerSet, delta as biomarker_delta
-from .errors import InputDataError, ParameterError, PetQuantError
+from .errors import InputDataError, ParameterError, PetQuantError, check_real
 from .losses import LossParams, gradient_check
 from .mask import BinaryMask
 from .metrics import dice, hausdorff_mm, iou, sensitivity
@@ -67,9 +67,16 @@ def _emit(payload: dict | str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_number(text: str) -> float:
+    """A JSON float or NaN/Infinity literal, refused unless finite (1e400 reads as inf)."""
+    check_real(f"number {text}", float(text), error=ValueError)
+    return float(text)
+
+
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except ValueError as exc:
         raise ParameterError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -261,10 +268,13 @@ def _compare_pair(a: BinaryMask, b: BinaryMask) -> dict:
 def _cmd_compare(args) -> int:
     if args.batch:
         base = Path(args.batch).parent
-        rows = []
-        for _, row in cohort_mod.read_table(args.batch, ("pair_id", "path_a", "path_b")):
+
+        def compare_row(row: dict) -> list:
             m = _compare_pair(read_mask(base / row["path_a"]), read_mask(base / row["path_b"]))
-            rows.append([row["pair_id"], *(m[k] for k in _METRICS)])
+            return [row["pair_id"], *(m[k] for k in _METRICS)]
+
+        table = cohort_mod.read_table(args.batch, ("pair_id", "path_a", "path_b"))
+        rows = cohort_mod.parallel_map(compare_row, [row for _, row in table], args.threads)
         _emit(dumps_csv(["pair_id", *_METRICS], rows), args.out)
         return 0
 

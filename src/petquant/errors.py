@@ -1,9 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and :func:`check_real`, the one range check for real parameters.
 
 Callers that need an exit-code split can rely on the two branches:
 :class:`InputDataError` covers file-format and corrupt-data failures,
 everything else under :class:`PetQuantError` is a validation problem.
 """
+
+import math
+import operator
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 class PetQuantError(Exception):
@@ -48,3 +53,12 @@ class ManifestError(PetQuantError):
 
 class LesionSpecError(ParameterError):
     """Phantom lesion specification cannot be realized on the grid."""
+
+
+def check_real(name, value, *, gt=None, ge=None, lt=None, le=None, error=ParameterError):
+    """Raise `error` unless `value` is finite and meets every bound given
+    (`gt`: >, `ge`: >=, `lt`: <, `le`: <=); the message names `name`."""
+    bounds = {sign: b for sign, b in zip(_COMPARE, (gt, ge, lt, le)) if b is not None}
+    if not (math.isfinite(value) and all(_COMPARE[s](value, b) for s, b in bounds.items())):
+        rule = "".join(f" and {s} {b}" for s, b in bounds.items())
+        raise error(f"{name} must be finite{rule}, got {value}")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatchError, ParameterError
+from .errors import GeometryMismatchError, ParameterError, check_real
 
 BCE_CLAMP = 1e-12  # bound on log arguments
 _FD_BLOCK = 64  # perturbed copies summed per reduction in gradient_check
@@ -40,16 +40,11 @@ class LossParams:
     smooth: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma, self.smooth))):
-            raise ParameterError("alpha, beta, gamma and smooth must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError("alpha and beta must be >= 0")
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be > 0")
-        if not 0.0 <= self.ftl_weight <= 1.0:
-            raise ParameterError("ftl_weight must lie in [0, 1]")
-        if self.smooth <= 0:
-            raise ParameterError("smooth must be > 0")
+        check_real("alpha", self.alpha, ge=0)
+        check_real("beta", self.beta, ge=0)
+        check_real("gamma", self.gamma, gt=0)
+        check_real("ftl_weight", self.ftl_weight, ge=0, le=1)
+        check_real("smooth", self.smooth, gt=0)
 
 
 def _validate_pair(target: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +115,12 @@ def combined_loss_grad(
     den = tp + params.alpha * fn + params.beta * fp + s
     # dTI/dp_i = [y_i·den − num·(y_i − alpha·y_i + beta·(1 − y_i))] / den²
     dden = t - params.alpha * t + params.beta * (1.0 - t)
-    dti = (t * den - num * dden) / (den * den)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            dti = (t * den - num * dden) / (den * den)
+    except FloatingPointError as exc:
+        msg = f"alpha {params.alpha} and beta {params.beta} overflow the gradient"
+        raise ParameterError(msg) from exc
     base = 1.0 - num / den
     if base > 0.0:
         ftl_factor = params.gamma * base ** (params.gamma - 1.0)

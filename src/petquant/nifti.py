@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError
+from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError, check_real
 from .mask import BinaryMask
 from .serialize import write_bytes_atomic
 from .volume import IntensityUnit, Volume3D, check_grid
@@ -140,8 +140,7 @@ def _decode_nifti(path: Path) -> tuple:
         offset = int(offset)
         slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
         for name, value in (("scl_slope", slope), ("scl_inter", inter)):
-            if not np.isfinite(value):
-                raise VolumeFormatError(f"{path}: bad field {name} = {value}")
+            check_real(f"{path}: bad field {name}", value, error=VolumeFormatError)
         dtype = _DTYPES[datatype]
         size = dims[0] * dims[1] * dims[2] * dtype.itemsize
         # against the file size first: a bad header cannot make read() allocate more

@@ -21,7 +21,7 @@ import numpy as np
 
 from .biomarkers import BiomarkerSet
 from .cohort import CohortEntry, parallel_map, write_manifest
-from .errors import LesionSpecError, ParameterError
+from .errors import LesionSpecError, check_real
 from .mask import BinaryMask
 from .nifti import encode_nifti
 from .serialize import dumps_json, write_bytes_atomic, write_text_atomic
@@ -49,16 +49,14 @@ class LesionSpec:
     def __post_init__(self) -> None:
         if self.profile not in ("uniform", "gaussian"):
             raise LesionSpecError(f"profile must be 'uniform' or 'gaussian', got {self.profile!r}")
-        if not self.radius_mm > 0:
-            raise LesionSpecError("radius_mm must be > 0")
-        if not self.peak_suv > 0:
-            raise LesionSpecError("peak_suv must be > 0")
-        if self.background_suv < 0:
-            raise LesionSpecError("background_suv must be >= 0")
-        if not self.peak_suv > self.background_suv:
-            raise LesionSpecError("peak_suv must exceed background_suv")
-        if self.noise_sd < 0:
-            raise LesionSpecError("noise_sd must be >= 0")
+        for c in self.center:
+            check_real("center", c, error=LesionSpecError)
+        check_real("radius_mm", self.radius_mm, gt=0, error=LesionSpecError)
+        check_real("background_suv", self.background_suv, ge=0, error=LesionSpecError)
+        check_real("noise_sd", self.noise_sd, ge=0, error=LesionSpecError)
+        # background_suv is finite and >= 0 here, so this also makes peak_suv finite and > 0
+        diff = self.peak_suv - self.background_suv
+        check_real("peak_suv - background_suv", diff, gt=0, error=LesionSpecError)
 
 
 def _check_fits(center: tuple, radius_mm: float, dims: tuple, spacing: tuple) -> None:
@@ -147,14 +145,10 @@ class ResponseModel:
     outlier_ratio_min: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.ratio_mean > 0:
-            raise ParameterError("ratio_mean must be > 0")
-        if self.ratio_sd < 0:
-            raise ParameterError("ratio_sd must be >= 0")
-        if not 0.0 <= self.outlier_fraction <= 1.0:
-            raise ParameterError("outlier_fraction must lie in [0, 1]")
-        if self.outlier_fraction > 0 and not self.outlier_ratio_min > 0:
-            raise ParameterError("outlier_ratio_min must be > 0")
+        check_real("ratio_mean", self.ratio_mean, gt=0)
+        check_real("ratio_sd", self.ratio_sd, ge=0)
+        check_real("outlier_fraction", self.outlier_fraction, ge=0, le=1)
+        check_real("outlier_ratio_min", self.outlier_ratio_min, gt=0)
 
 
 def generate_cohort(
@@ -175,13 +169,13 @@ def generate_cohort(
     Volumes are stored as activity concentration (kBq/mL) with matching
     dose/weight columns, so the quantification pipeline exercises the SUV
     conversion. Follow-up lesions hit round(ratio·N_bl) voxels exactly.
-    Returns the manifest path.
+    The baseline lesion follows LesionSpec's rules. Returns the manifest path.
     """
-    if n < 1:
-        raise ParameterError(f"cohort size must be >= 1, got {n}")
+    check_real("n", n, ge=1)
     center = tuple((d - 1) / 2.0 for d in dims)
-    _check_fits(center, baseline_radius_mm, dims, spacing)
-    growth, bl_count = _growth_order(dims, spacing, center, baseline_radius_mm)
+    lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd)
+    _check_fits(lesion.center, lesion.radius_mm, dims, spacing)
+    growth, bl_count = _growth_order(dims, spacing, lesion.center, lesion.radius_mm)
     if bl_count == 0:
         raise LesionSpecError("baseline lesion covers no voxel center")
     bl_bits = _blob_mask(dims, growth, bl_count)
@@ -217,7 +211,7 @@ def generate_cohort(
             "voxel_count": count,
         }
 
-    def build_one(i: int) -> dict:
+    def build_one(i: int) -> tuple[CohortEntry, dict]:
         rng = np.random.default_rng([seed, i])
         if i in outlier_idx:
             ratio = response.outlier_ratio_min * (1.0 + rng.uniform(0.0, 0.5))
@@ -233,35 +227,26 @@ def generate_cohort(
         write_bytes_atomic(out / names[1], *bl_mask)
         write_bytes_atomic(out / names[2], *volume_nifti(fu_bits, rng))
         write_bytes_atomic(out / names[3], *encode_nifti(fu_bits, spacing, datatype=2))
-        return {
+        entry = CohortEntry(pid, *map(Path, names), DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG)
+        return entry, {
             "patient_id": pid,
-            "bl": analytic(bl_count),
-            "fu": analytic(fu_count),
+            "baseline": analytic(bl_count),
+            "followup": analytic(fu_count),
             "mtv_ratio": fu_count / bl_count,
             "is_outlier": i in outlier_idx,
-            "entry": CohortEntry(pid, *map(Path, names), DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG),
         }
 
-    entries = parallel_map(build_one, range(n), threads)
+    built = parallel_map(build_one, range(n), threads)
 
     manifest_path = out / "manifest.csv"
-    write_manifest(manifest_path, [e["entry"] for e in entries])
+    write_manifest(manifest_path, [entry for entry, _ in built])
 
     truth = {
         "seed": seed,
         "dims": list(dims),
         "spacing_mm": list(spacing),
         "response": asdict(response),
-        "patients": [
-            {
-                "patient_id": e["patient_id"],
-                "baseline": e["bl"],
-                "followup": e["fu"],
-                "mtv_ratio": e["mtv_ratio"],
-                "is_outlier": e["is_outlier"],
-            }
-            for e in entries
-        ],
+        "patients": [row for _, row in built],
     }
     write_text_atomic(out / "ground_truth.json", dumps_json(truth))
     return manifest_path

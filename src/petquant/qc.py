@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .biomarkers import BiomarkerSet, DeltaSet, delta
-from .errors import DegenerateInputError, EmptyRegionError, ParameterError
+from .errors import DegenerateInputError, EmptyRegionError, check_real
 from .mask import BinaryMask, Quadrant, centroid, regrid_nearest
 
 # Threshold derived on the original 180-scan clinical cohort; shipped as a
@@ -34,8 +34,7 @@ class QcThreshold:
     derivation: ThresholdDerivation
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ParameterError(f"threshold must be a positive real, got {self.value}")
+        check_real("threshold", self.value, gt=0)
 
 
 def fixed_threshold(value: float = REFERENCE_RATIO_THRESHOLD) -> QcThreshold:
@@ -47,8 +46,8 @@ def derive_threshold(ratios) -> QcThreshold:
     vals = [float(r) for r in ratios]
     if not vals:
         raise DegenerateInputError("cannot derive a threshold from an empty cohort")
-    if any(not math.isfinite(v) or v < 0.0 for v in vals):
-        raise ParameterError("ratios must be finite and >= 0")
+    for v in vals:
+        check_real("MTV ratio", v, ge=0)
     mean = sum(vals) / len(vals)
     if mean <= 0.0:
         raise DegenerateInputError("mean MTV ratio is zero; threshold undefined")
@@ -122,8 +121,7 @@ def check_pair(
 def select_extreme_outliers(records: list[QcRecord], k: int) -> list[str]:
     """Patient ids of the k largest outlier scores (score > 0 only); ties
     break by ascending patient id. Fewer than k outliers returns them all."""
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    check_real("k", k, ge=0)
     flagged = [r for r in records if r.outlier_score > 0.0]
     flagged.sort(key=lambda r: (-r.outlier_score, r.patient_id))
     return [r.patient_id for r in flagged[:k]]

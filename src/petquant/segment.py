@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyRegionError, ParameterError
+from .errors import EmptyRegionError, check_real
 from .mask import (
     BinaryMask,
     _structure,
@@ -49,8 +49,7 @@ def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask, pct: float) -> BinaryMa
     require_same_geometry(vol, roi)
     if roi.is_empty:
         raise EmptyRegionError("ROI is empty")
-    if not 0.0 < pct < 1.0:
-        raise ParameterError(f"pct must lie in (0, 1), got {pct}")
+    check_real("pct", pct, gt=0, lt=1)
     # no copy of the ROI's values: a whole-grid ROI holds every voxel
     vmax = float(np.max(vol.values, where=roi.bits, initial=-np.inf))
     # min() keeps the max voxel included when vmax < 0
@@ -102,12 +101,10 @@ def threshold_contrast_iterative(
     require_same_geometry(vol, roi)
     if roi.is_empty:
         raise EmptyRegionError("ROI is empty")
-    if not 0.0 < a < 1.0:
-        raise ParameterError(f"a must lie in (0, 1), got {a}")
-    if b < 0.0:
-        raise ParameterError(f"b must be >= 0, got {b}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    check_real("a", a, gt=0, lt=1)
+    check_real("b", b, ge=0)
+    check_real("tol", tol, ge=0)
+    check_real("max_iter", max_iter, ge=1)
 
     box = bounding_box(roi.bits)
     roi_bits = roi.bits[box]

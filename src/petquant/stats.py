@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DegenerateInputError, GeometryMismatchError, ParameterError
+from .errors import DegenerateInputError, GeometryMismatchError, ParameterError, check_real
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -47,8 +47,7 @@ def pearson(x, y) -> float:
 
 def student_t_two_sided_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for Student's t with df degrees of freedom."""
-    if df < 1:
-        raise ParameterError(f"df must be >= 1, got {df}")
+    check_real("df", df, ge=1)
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)

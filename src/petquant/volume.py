@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntensityUnitError, ParameterError, VolumeDataError
+from .errors import IntensityUnitError, ParameterError, VolumeDataError, check_real
 
 
 class IntensityUnit(enum.Enum):
@@ -115,10 +115,8 @@ class AcquisitionInfo:
     body_weight_kg: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.injected_dose_MBq) and self.injected_dose_MBq > 0):
-            raise ParameterError(f"injected dose must be > 0 MBq, got {self.injected_dose_MBq}")
-        if not (math.isfinite(self.body_weight_kg) and self.body_weight_kg > 0):
-            raise ParameterError(f"body weight must be > 0 kg, got {self.body_weight_kg}")
+        check_real("injected_dose_MBq", self.injected_dose_MBq, gt=0)
+        check_real("body_weight_kg", self.body_weight_kg, gt=0)
         if not (math.isfinite(self.suv_scale) and self.suv_scale > 0):
             raise ParameterError(
                 f"weight {self.body_weight_kg} kg / dose {self.injected_dose_MBq} MBq gives"

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,6 +86,36 @@ class TestCompare:
             "no_pred,0,0,0,",
             "no_gt,0,0,,",
             "none,1,1,,",
+        ]
+
+    def test_batch_honours_threads(self, lesion_files, tmp_path, capsys, monkeypatch):
+        # --threads used to be accepted and ignored; every count gives the same bytes
+        out, _ = lesion_files
+        write_mask(BinaryMask(np.zeros(DIMS, bool), SPACING), tmp_path / "empty.nii")
+        masks = [str(out / "mask.nii"), "empty.nii"]
+        rows = [f"p{i}{j},{a},{b}\n" for i, a in enumerate(masks) for j, b in enumerate(masks)]
+        batch = tmp_path / "pairs.csv"
+        batch.write_text("pair_id,path_a,path_b\n" + "".join(rows))
+        real, calls = cli.cohort_mod.parallel_map, []
+
+        def spy(fn, items, threads):
+            calls.append(threads)
+            return real(fn, items, threads)
+
+        monkeypatch.setattr(cli.cohort_mod, "parallel_map", spy)
+        outputs = []
+        for threads in ("1", "3"):
+            result = tmp_path / f"pairs{threads}.csv"
+            argv = ["compare", "--batch", str(batch), "--threads", threads, "--out", str(result)]
+            assert run(capsys, *argv)[0] == 0
+            outputs.append(result.read_bytes())
+        assert calls == [1, 3]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode().splitlines()[1:] == [
+            "p00,1,1,1,0",
+            "p01,0,0,0,",
+            "p10,0,0,,",
+            "p11,1,1,,",
         ]
 
     def test_batch_short_row_names_line(self, lesion_files, tmp_path, capsys):
@@ -299,6 +330,23 @@ class TestSegment:
         )
         assert code == 1
         assert "roi" in err
+        assert not mask_path.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--contrast-b", "nan", "b"), ("--contrast-b", "inf", "b"), ("--tol", "nan", "tol")],
+    )
+    def test_non_finite_contrast_flag_exits_1(
+        self, lesion_files, tmp_path, capsys, flag, value, name
+    ):
+        # each used to exit 0: every mask empty for b, all 100 iterations run for tol
+        out, _ = lesion_files
+        mask_path = tmp_path / "m.nii"
+        argv = ["segment", str(out / "vol.nii"), "--out", str(mask_path), "--method", "contrast"]
+        code, stdout, err = run(capsys, *argv, "--json-errors", flag, value)
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["error"] == "validation error"
+        assert json.loads(err)["message"] == f"{name} must be finite and >= 0, got {value}"
         assert not mask_path.exists()
 
     def test_benchmark_roi_is_valid(self):
@@ -546,6 +594,8 @@ class TestPipelineCommands:
             (("--shape", "-1"), "validation error"),
             (("--tolerance", "nan"), "usage error"),
             (("--tolerance", "-1"), "usage error"),
+            # used to print numpy overflow warnings, then fail as a check
+            (("--trials", "2", "--alpha", "1e308", "--beta", "1e308"), "validation error"),
         ],
     )
     def test_loss_check_bad_flag_exits_1(self, tmp_path, capsys, argv, kind):
@@ -709,7 +759,40 @@ BAD_GRID = [
     ("phantom", json.dumps({"lesion": {**_LESION, "dims": [0, 24, 16]}}), "dims"),
     ("phantom", json.dumps({"lesion": {**_LESION, "spacing_mm": [4, 4, -4]}}), "spacing"),
 ]
-BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID
+
+
+def _json(obj) -> str:
+    """JSON text; the string "1e400" becomes a bare literal, which reads as inf."""
+    return json.dumps(obj).replace('"1e400"', "1e400")
+
+
+# JSON numbers that are not finite, and cohort lesion values that a single
+# lesion refuses; the message names the literal or the field. Each used to
+# exit 0, crash with an OverflowError, or fail as an input error (exit 2)
+_SMALL = {"n": 2, "ratio_mean": 0.5, "dims": [16, 16, 12]}
+BAD_VALUES = [
+    ("phantom", _json({"cohort": {**_SMALL, "noise_sd": -1}}), "noise_sd"),
+    ("phantom", _json({"cohort": {**_SMALL, "peak_suv": 0.5, "background_suv": 2}}), "background_suv"),
+    ("phantom", _json({"cohort": {**_SMALL, "background_suv": -3}}), "background_suv"),
+    ("phantom", _json({"cohort": {**_SMALL, "ratio_mean": math.inf}}), "Infinity"),
+    (
+        "phantom",
+        _json({"cohort": {**_SMALL, "outlier_fraction": 0.5, "outlier_ratio_min": "1e400"}}),
+        "1e400",
+    ),
+    ("phantom", _json({"cohort": {**_SMALL, "ratio_sd": math.nan}}), "NaN"),
+    ("phantom", _json({"cohort": {**_SMALL, "peak_suv": math.nan}}), "NaN"),
+    ("phantom", _json({"lesion": {**_LESION, "center": [math.nan, 12, 8]}}), "NaN"),
+    ("phantom", _json({"lesion": {**_LESION, "noise_sd": math.nan}}), "NaN"),
+    ("phantom", _json({"lesion": {**_LESION, "peak_suv": "1e400"}}), "1e400"),
+    ("segment", _json({"method": "contrast", "tol": math.nan}), "NaN"),
+    ("segment", _json({"method": "contrast", "b": -math.inf}), "-Infinity"),
+    ("segment", _json({"pct": "1e400"}), "1e400"),
+    ("delta", _json({**_BIO, "suv_max": math.nan}), "NaN"),
+    ("delta", _json({**_BIO, "tlg": "1e400"}), "1e400"),
+]
+# BAD_VALUES comes last so the earlier cases keep their ids
+BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES
 
 
 @pytest.mark.parametrize(

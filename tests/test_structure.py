@@ -15,6 +15,9 @@ C-order copy, and full-grid arrays made next to a grid take its layout.
 
 Report columns are named once: a CSV's header is its row dicts' keys, and no
 class defines an `as_dict`: `dataclasses.asdict` gives a dataclass's fields.
+
+A scalar parameter's range is checked by `errors.check_real`, which also
+refuses NaN and infinity; no module writes its own comparison and message.
 """
 
 import ast
@@ -256,3 +259,24 @@ def test_no_as_dict_restating_fields():
         if isinstance(fn, ast.FunctionDef) and fn.name == "as_dict"
     ]
     assert hits == [], hits
+
+
+def test_one_range_check():
+    # a hand-written `x < 0` lets NaN through and a bare `x > 0` lets infinity through
+    phrases = ("must be >", "must be <", "must exceed")
+    messages = [
+        where
+        for where, node in _nodes()
+        if where.split(":")[0] not in ("errors.py", "cli.py")
+        and isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(phrase in node.value for phrase in phrases)
+    ]
+    assert messages == [], messages
+    # any reference counts, not only a call: `map(math.isfinite, ...)` is one too
+    finite = {
+        where.split(":")[0]
+        for where, node in _nodes()
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.isfinite"
+    }
+    assert finite <= {"errors.py", "volume.py"}, finite

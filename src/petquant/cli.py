@@ -82,13 +82,19 @@ def _read_json(path: str):
 
 
 def _is(value, kind) -> bool:
-    """A JSON value of Python type `kind`: float also takes an int, no number
-    takes a bool, and (kind, n) is a list of n values of that kind."""
+    """A JSON value of Python type `kind`: float also takes an int that a float
+    can hold, no number takes a bool, and (kind, n) is a list of n values of
+    that kind."""
     if isinstance(kind, tuple):
         elem, n = kind
         return isinstance(value, list) and len(value) == n and all(_is(v, elem) for v in value)
     if isinstance(value, bool) and kind in (int, float):
         return False
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -171,12 +177,12 @@ def _load_seg_config(args) -> dict:
 def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
     """Segment one volume file into a mask file; returns the run's info."""
     vol = read_volume(vol_path)
-    if cfg["roi"] is None:
-        bits = np.ones_like(vol.values, dtype=bool)
-    else:
-        bits = _parse_roi(cfg["roi"], vol.values)
-    bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
-    roi = BinaryMask(bits, vol.spacing)
+    roi = None  # threshold_pct_suvmax takes None as the whole grid
+    if cfg["roi"] is not None or cfg["method"] == "contrast":
+        whole = cfg["roi"] is None
+        bits = np.ones_like(vol.values, dtype=bool) if whole else _parse_roi(cfg["roi"], vol.values)
+        bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
+        roi = BinaryMask(bits, vol.spacing)
     info: dict = {"method": cfg["method"]}
     if cfg["method"] == "pct_suvmax":
         mask = threshold_pct_suvmax(vol, roi, cfg["pct"])

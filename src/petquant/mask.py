@@ -59,11 +59,14 @@ class BinaryMask(_Grid):
         return not self.bits.any()
 
 
-def require_same_geometry(a: Volume3D | BinaryMask, b: Volume3D | BinaryMask) -> None:
-    if a.dims != b.dims:
-        raise GeometryMismatchError(f"grid dims differ: {a.dims} vs {b.dims}")
-    if a.spacing != b.spacing:
-        raise GeometryMismatchError(f"voxel spacing differs: {a.spacing} vs {b.spacing}")
+def require_same_geometry(a: Volume3D | BinaryMask | tuple, b: Volume3D | BinaryMask) -> None:
+    """`a` and `b` share dims and spacing; `a` may also be the (dims, spacing)
+    of a grid not yet read into a Volume3D."""
+    dims, spacing = a if isinstance(a, tuple) else (a.dims, a.spacing)
+    if dims != b.dims:
+        raise GeometryMismatchError(f"grid dims differ: {dims} vs {b.dims}")
+    if spacing != b.spacing:
+        raise GeometryMismatchError(f"voxel spacing differs: {spacing} vs {b.spacing}")
 
 
 class Quadrant(enum.Enum):

@@ -14,7 +14,9 @@ A bad header or sidecar field raises ``VolumeFormatError`` naming it (checked
 before the payload is opened), an unusable payload ``VolumeDataError``; the
 CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats;
 ``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
-written as float32, masks as uint8 0/1; reading promotes to float64.
+written as float32, masks as uint8 0/1. ``read_volume`` promotes the whole
+grid to float64; ``read_volume_box``, the quantification reader, checks the
+whole stored grid and promotes only a mask's bounding box.
 
 Grids stay in file order: a volume or mask read here is an F-contiguous
 (x-fastest) array, as the payload is stored, so reading widens without a
@@ -32,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError, check_real
-from .mask import BinaryMask
+from .mask import BinaryMask, bounding_box, require_same_geometry
 from .serialize import write_bytes_atomic
-from .volume import IntensityUnit, Volume3D, check_grid
+from .volume import IntensityUnit, Volume3D, check_finite, check_grid
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extender
@@ -227,12 +229,13 @@ def _nifti_header(shape: tuple[int, ...], spacing, datatype: int) -> bytes:
     return hdr.tobytes() + b"\x00\x00\x00\x00"  # 4-byte extender: no extensions
 
 
-def encode_nifti(values: np.ndarray, spacing, datatype: int) -> tuple[bytes, bytes]:
+def encode_nifti(values: np.ndarray, spacing, datatype: int) -> tuple[bytes, memoryview]:
     """The one NIfTI encoder: header and x-fastest payload of `values` stored
     as `datatype` (2 uint8, 4 int16, 16 float32), to write back to back. An
-    F-contiguous grid converts without a transpose; a C one is transposed."""
-    data = values.astype(_DTYPES[datatype], order="F")
-    return _nifti_header(data.shape, spacing, datatype), data.tobytes(order="F")
+    F-contiguous grid converts without a transpose; a C one is transposed.
+    The payload is the converted array's own buffer, as bytes, not a copy."""
+    data = values.astype(_DTYPES[datatype], order="F").reshape(-1, order="F")  # a view
+    return _nifti_header(values.shape, spacing, datatype), memoryview(data).cast("B")
 
 
 def _write(path: Path, values: np.ndarray, spacing, datatype: int, unit: IntensityUnit) -> None:
@@ -247,6 +250,13 @@ def _write(path: Path, values: np.ndarray, spacing, datatype: int, unit: Intensi
     write_bytes_atomic(path, json.dumps(meta, indent=2).encode() + b"\n")
 
 
+def _unit(path, stored: IntensityUnit | None, unit: IntensityUnit | None) -> IntensityUnit:
+    """The unit to read a volume in: `unit` if given, else the sidecar's, else ARBITRARY."""
+    if unit is not None and stored not in (None, IntensityUnit.ARBITRARY, unit):
+        raise IntensityUnitError(f"{path}: sidecar unit {stored.value}, read as {unit.value}")
+    return unit or stored or IntensityUnit.ARBITRARY
+
+
 def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> Volume3D:
     """Read a volume; format chosen by extension (.nii or .json sidecar).
 
@@ -255,9 +265,24 @@ def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> V
     but one contradicting a declared SUV or kBq/mL raises IntensityUnitError.
     """
     grid, spacing, slope, inter, stored = _decode(Path(path))
-    if unit is not None and stored not in (None, IntensityUnit.ARBITRARY, unit):
-        raise IntensityUnitError(f"{path}: sidecar unit {stored.value}, read as {unit.value}")
-    return _to_volume(grid, spacing, slope, inter, unit or stored or IntensityUnit.ARBITRARY)
+    return _to_volume(grid, spacing, slope, inter, _unit(path, stored, unit))
+
+
+def read_volume_box(
+    path: str | os.PathLike, mask: BinaryMask, unit: IntensityUnit | None = None
+) -> tuple[Volume3D, BinaryMask]:
+    """The volume at `path` and `mask`, both cut to the mask's bounding box (a
+    one-voxel corner when the mask is empty), for `biomarkers.extract`. The
+    whole grid gets `read_volume`'s checks, then `extract`'s geometry check;
+    non-finite values are sought in the stored dtype, since finite scl factors
+    keep a finite stored value finite. Only the box is widened to float64."""
+    grid, spacing, slope, inter, stored = _decode(Path(path))
+    unit = _unit(path, stored, unit)
+    check_finite(grid)
+    require_same_geometry((grid.shape, spacing), mask)
+    box = bounding_box(mask.bits) or (slice(0, 1),) * 3
+    vol = _to_volume(grid[box], spacing, slope, inter, unit)
+    return vol, BinaryMask(mask.bits[box], mask.spacing)
 
 
 def write_volume(vol: Volume3D, path: str | os.PathLike) -> None:

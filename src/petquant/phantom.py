@@ -7,6 +7,11 @@ of one growth order (distance from the grid center, ties by linear index):
 the baseline sphere is its first N voxels, each follow-up blob exactly
 round(ratio·N) voxels, so the realized MTV ratio is a known rational.
 
+Follow-up counts are drawn before anything is written, and only the prefix
+of the growth order the largest count needs is sorted. Each noiseless volume
+and every mask is one encoded background payload with its lesion's cells set;
+the bytes are those of rasterizing and encoding the whole grid.
+
 All randomness is seeded; per-patient streams derive from (seed, index) so
 parallel generation never changes the output bytes.
 """
@@ -118,21 +123,12 @@ def generate(
     return Volume3D(values, spacing, IntensityUnit.SUV), mask, bio
 
 
-def _growth_order(dims: tuple, spacing: tuple, center: tuple, radius_mm: float) -> tuple:
-    """Linear voxel indices sorted by (distance from center, linear index),
-    and how many lie within `radius_mm`: the sphere is that many first voxels."""
-    d = _distance_mm_grid(dims, spacing, center).ravel()
-    # a stable sort breaks distance ties by linear index
-    return np.argsort(d, kind="stable"), int(np.count_nonzero(d <= radius_mm))
-
-
-def _blob_mask(dims: tuple[int, int, int], order: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` voxels of a growth order as a boolean grid."""
-    if count > order.size:
-        raise LesionSpecError(f"blob of {count} voxels exceeds the {order.size}-voxel grid")
-    flat = np.zeros(order.size, dtype=bool)
-    flat[order[:count]] = True
-    return flat.reshape(dims)
+def _growth_prefix(d: np.ndarray, k: int) -> np.ndarray:
+    """The first `k` linear indices of the flat distances `d` sorted by
+    (distance, linear index), i.e. `np.argsort(d, kind="stable")[:k]`, with
+    only the voxels no farther than the k-th nearest sorted."""
+    near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])  # ascending linear index
+    return near[np.argsort(d[near], kind="stable")][:k]
 
 
 @dataclass(frozen=True)
@@ -149,6 +145,21 @@ class ResponseModel:
         check_real("ratio_sd", self.ratio_sd, ge=0)
         check_real("outlier_fraction", self.outlier_fraction, ge=0, le=1)
         check_real("outlier_ratio_min", self.outlier_ratio_min, gt=0)
+
+    def follow_up_count(
+        self, rng: np.random.Generator, outlier: bool, bl_count: int, size: int
+    ) -> int:
+        """A follow-up blob's voxel count, drawn from `rng`, for a `bl_count`-voxel
+        baseline on a `size`-voxel grid. An outlier's is clamped to the grid;
+        any other beyond it raises LesionSpecError."""
+        if outlier:
+            ratio = self.outlier_ratio_min * (1.0 + rng.uniform(0.0, 0.5))
+            return math.ceil(min(ratio * bl_count, size))
+        scaled = max(1.0 / bl_count, rng.normal(self.ratio_mean, self.ratio_sd)) * bl_count
+        count = max(1, round(scaled)) if scaled < math.inf else scaled
+        if count > size:
+            raise LesionSpecError(f"blob of {count} voxels exceeds the {size}-voxel grid")
+        return count
 
 
 def generate_cohort(
@@ -175,31 +186,61 @@ def generate_cohort(
     center = tuple((d - 1) / 2.0 for d in dims)
     lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd)
     _check_fits(lesion.center, lesion.radius_mm, dims, spacing)
-    growth, bl_count = _growth_order(dims, spacing, lesion.center, lesion.radius_mm)
+    d = _distance_mm_grid(dims, spacing, lesion.center).ravel()
+    bl_count = int(np.count_nonzero(d <= lesion.radius_mm))
     if bl_count == 0:
         raise LesionSpecError("baseline lesion covers no voxel center")
-    bl_bits = _blob_mask(dims, growth, bl_count)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     master = np.random.default_rng(seed)
     n_outliers = int(round(response.outlier_fraction * n))
     outlier_idx = set(master.permutation(n)[:n_outliers].tolist())
+    # each patient's stream draws its follow-up count now, so a bad count
+    # fails before anything is written, and its noise later
+    rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+    fu_counts = [
+        response.follow_up_count(rng, i in outlier_idx, bl_count, d.size)
+        for i, rng in enumerate(rngs)
+    ]
+    # a stable order breaks distance ties by linear index
+    growth = _growth_prefix(d, max(bl_count, *fu_counts))  # C-order linear indices
+    del d  # a float64 grid, not needed while writing
+    cells = np.ravel_multi_index(np.unravel_index(growth, dims), dims, order="F")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     voxvol = voxel_volume_cm3(spacing)
     suv_to_activity = DEFAULT_DOSE_MBQ / DEFAULT_WEIGHT_KG  # kBq/mL per SUV
     peak_act = peak_suv * suv_to_activity
     bg_act = background_suv * suv_to_activity
 
-    def volume_nifti(bits: np.ndarray, rng) -> tuple[bytes, bytes]:
-        values = np.where(bits, peak_act, bg_act)
-        if noise_sd > 0:
-            values += rng.normal(0.0, noise_sd * suv_to_activity, dims)
-        return encode_nifti(values, spacing, datatype=16)
+    def patched(background: np.ndarray, count: int, value) -> np.ndarray:
+        """A copy of an x-fastest payload with the first `count` lesion cells set to `value`."""
+        data = background.copy()
+        data[cells[:count]] = value
+        return data
 
-    # every noiseless baseline is identical; serialize it once
-    bl_volume = volume_nifti(bl_bits, None) if noise_sd == 0 else None
-    bl_mask = encode_nifti(bl_bits, spacing, datatype=2)
+    # the encoded empty mask and, without noise, the encoded background: the
+    # lesion's cells are all that set a file apart from one of these
+    mask_header, empty = encode_nifti(np.zeros(dims, dtype=np.uint8), spacing, datatype=2)
+    empty = np.frombuffer(empty, dtype=np.uint8)
+    bl_mask = patched(empty, bl_count, 1)
+    bl_volume = None  # a noisy baseline is drawn per patient
+    if noise_sd == 0:
+        vol_header, background = encode_nifti(np.full(dims, bg_act), spacing, datatype=16)
+        background = np.frombuffer(background, dtype="<f4")
+        bl_volume = (vol_header, patched(background, bl_count, peak_act))
+
+    def volume(count: int, rng: np.random.Generator) -> tuple:
+        """Header and payload of a volume whose lesion is `count` voxels."""
+        if noise_sd == 0:
+            return vol_header, patched(background, count, peak_act)
+        values = rng.normal(0.0, noise_sd * suv_to_activity, dims)  # C order, as drawn
+        flat = values.reshape(-1)  # a view
+        # noise + base: addition commutes, so these are where(...) + noise's bits
+        lesion = flat[growth[:count]] + peak_act
+        values += bg_act
+        flat[growth[:count]] = lesion
+        return encode_nifti(values, spacing, datatype=16)
 
     def analytic(count: int) -> dict:
         mtv = count * voxvol
@@ -212,21 +253,14 @@ def generate_cohort(
         }
 
     def build_one(i: int) -> tuple[CohortEntry, dict]:
-        rng = np.random.default_rng([seed, i])
-        if i in outlier_idx:
-            ratio = response.outlier_ratio_min * (1.0 + rng.uniform(0.0, 0.5))
-            fu_count = min(int(math.ceil(ratio * bl_count)), growth.size)
-        else:
-            ratio = max(1.0 / bl_count, rng.normal(response.ratio_mean, response.ratio_sd))
-            fu_count = max(1, int(round(ratio * bl_count)))
-        fu_bits = _blob_mask(dims, growth, fu_count)
-
+        rng, fu_count = rngs[i], fu_counts[i]
         pid = f"p{i:04d}"
         names = [f"{pid}_bl.nii", f"{pid}_bl_mask.nii", f"{pid}_fu.nii", f"{pid}_fu_mask.nii"]
-        write_bytes_atomic(out / names[0], *(bl_volume or volume_nifti(bl_bits, rng)))
-        write_bytes_atomic(out / names[1], *bl_mask)
-        write_bytes_atomic(out / names[2], *volume_nifti(fu_bits, rng))
-        write_bytes_atomic(out / names[3], *encode_nifti(fu_bits, spacing, datatype=2))
+        # each file is built, written and let go before the next is built
+        write_bytes_atomic(out / names[0], *(bl_volume or volume(bl_count, rng)))
+        write_bytes_atomic(out / names[1], mask_header, bl_mask)
+        write_bytes_atomic(out / names[2], *volume(fu_count, rng))
+        write_bytes_atomic(out / names[3], mask_header, patched(empty, fu_count, 1))
         entry = CohortEntry(pid, *map(Path, names), DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG)
         return entry, {
             "patient_id": pid,

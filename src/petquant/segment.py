@@ -44,16 +44,22 @@ DEFAULT_CONTRAST_B = 1.0
 BACKGROUND_SHELL_GAP = 3
 
 
-def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask, pct: float) -> BinaryMask:
-    """Voxels inside the ROI at or above pct · (ROI max). Never empty."""
-    require_same_geometry(vol, roi)
-    if roi.is_empty:
-        raise EmptyRegionError("ROI is empty")
+def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask | None, pct: float) -> BinaryMask:
+    """Voxels inside the ROI (the whole grid when None) at or above pct · (ROI max).
+    Never empty."""
+    if roi is not None:
+        require_same_geometry(vol, roi)
+        if roi.is_empty:
+            raise EmptyRegionError("ROI is empty")
     check_real("pct", pct, gt=0, lt=1)
-    # no copy of the ROI's values: a whole-grid ROI holds every voxel
-    vmax = float(np.max(vol.values, where=roi.bits, initial=-np.inf))
+    if roi is None:
+        vmax = float(vol.values.max())
+    else:  # no copy of the ROI's values
+        vmax = float(np.max(vol.values, where=roi.bits, initial=-np.inf))
     # min() keeps the max voxel included when vmax < 0
-    bits = roi.bits & (vol.values >= min(pct * vmax, vmax))
+    bits = vol.values >= min(pct * vmax, vmax)
+    if roi is not None:
+        bits &= roi.bits
     bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
     return BinaryMask(bits, vol.spacing)
 

@@ -56,6 +56,14 @@ def check_grid(dims, spacing, names=("dims", "spacing")) -> tuple[float, float, 
     return mm  # type: ignore[return-value]
 
 
+def check_finite(grid: np.ndarray) -> None:
+    """The one non-finite voxel check, in `grid`'s own dtype: VolumeDataError
+    names the first bad (x, y, z) in C index order, whatever the layout."""
+    if not np.isfinite(grid).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(grid))[0])
+        raise VolumeDataError(f"non-finite voxel value at index {idx}")
+
+
 def voxel_volume_cm3(spacing: tuple[float, float, float]) -> float:
     """Volume of one voxel in cm³ (= mL) from its spacing in mm."""
     sx, sy, sz = spacing
@@ -99,9 +107,7 @@ class Volume3D(_Grid):
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
         spacing = check_grid(arr.shape, self.spacing)
-        if not np.isfinite(arr).all():
-            idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-            raise VolumeDataError(f"non-finite voxel value at index {idx}")
+        check_finite(arr)
         if not isinstance(self.unit, IntensityUnit):
             raise ParameterError(f"unit must be an IntensityUnit, got {self.unit!r}")
         self._store(arr, spacing)

@@ -2,19 +2,23 @@
 
 The oracles here (BFS labeling, border flood fill, all-pairs Hausdorff,
 the full-grid background shell and contrast seed component, the per-voxel
-central differences) stay independent of the production code paths they
-check.
+central differences, the whole-grid phantom raster) stay independent of the
+production code paths they check.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from petquant import BinaryMask, combined_loss
+from petquant.nifti import encode_nifti
 
 OFFSETS_6 = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
 OFFSETS_26 = [
@@ -225,3 +229,44 @@ def random_mask(rng: np.random.Generator, dims, p=0.3, spacing=(1.0, 1.0, 1.0)) 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def naive_cohort_files(
+    out_dir: Path, peak_suv: float, background_suv: float, noise_sd: float
+) -> dict[str, bytes]:
+    """The bytes of every .nii file of the phantom cohort in `out_dir`, rebuilt
+    from its ground_truth.json and manifest.csv by whole-grid rasterizing.
+
+    Each blob is its voxel count's first voxels in a full stable argsort of
+    the distance to the grid center, turned into a grid by np.where; a noisy
+    volume adds the patient's seeded normal draw (after the draw that set its
+    follow-up ratio). Payloads are x-fastest float32 volumes and uint8 masks.
+    """
+    truth = json.loads((out_dir / "ground_truth.json").read_text())
+    with open(out_dir / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    dims, spacing, response = tuple(truth["dims"]), truth["spacing_mm"], truth["response"]
+    grid = np.indices(dims)
+    d2 = [((grid[a] - (dims[a] - 1) / 2.0) * spacing[a]) ** 2 for a in range(3)]
+    order = np.argsort(np.sqrt(d2[0] + d2[1] + d2[2]).ravel(), kind="stable")
+    headers = {t: encode_nifti(np.zeros(dims), spacing, t)[0] for t in (2, 16)}
+    files = {}
+    for i, (patient, row) in enumerate(zip(truth["patients"], rows)):
+        activity = float(row["dose_MBq"]) / float(row["weight_kg"])  # kBq/mL per SUV
+        rng = np.random.default_rng([truth["seed"], i])
+        if patient["is_outlier"]:
+            rng.uniform(0.0, 0.5)
+        else:
+            rng.normal(response["ratio_mean"], response["ratio_sd"])
+        for timepoint in ("baseline", "followup"):
+            flat = np.zeros(order.size, dtype=bool)
+            flat[order[: patient[timepoint]["voxel_count"]]] = True
+            bits = flat.reshape(dims)
+            values = np.where(bits, peak_suv * activity, background_suv * activity)
+            if noise_sd > 0:
+                values = values + rng.normal(0.0, noise_sd * activity, dims)
+            stem = Path(row["bl_volume" if timepoint == "baseline" else "fu_volume"]).stem
+            files[f"{stem}.nii"] = headers[16] + values.astype("<f4").tobytes(order="F")
+            mask = bits.astype(np.uint8).tobytes(order="F")
+            files[f"{stem}_mask.nii"] = headers[2] + mask
+    return files

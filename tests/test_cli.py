@@ -790,6 +790,10 @@ BAD_VALUES = [
     ("segment", _json({"pct": "1e400"}), "1e400"),
     ("delta", _json({**_BIO, "suv_max": math.nan}), "NaN"),
     ("delta", _json({**_BIO, "tlg": "1e400"}), "1e400"),
+    ("phantom", _json({"cohort": {**_SMALL, "ratio_mean": 1e308}}), "blob of inf voxels"),
+    # integer literals too large for a float
+    ("phantom", json.dumps({"lesion": {**_LESION, "peak_suv": 10**400}}), "peak_suv"),
+    ("phantom", json.dumps({"lesion": {**_LESION, "center": [11, 10**400, 7]}}), "center"),
 ]
 # BAD_VALUES comes last so the earlier cases keep their ids
 BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES

@@ -7,13 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petquant import (
+    AcquisitionInfo,
+    BinaryMask,
     EmptyRegionError,
+    GeometryMismatchError,
     IntensityUnit,
+    IntensityUnitError,
     ManifestError,
+    PetQuantError,
     ResponseModel,
     Volume3D,
+    VolumeDataError,
     check_pair,
     export_annotation_batch,
     extract,
@@ -28,7 +36,15 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant.cohort import MANIFEST_COLUMNS, CohortEntry, parallel_map, write_manifest
+from petquant import nifti
+from petquant.cohort import (
+    MANIFEST_COLUMNS,
+    CohortEntry,
+    extract_file,
+    parallel_map,
+    write_manifest,
+)
+from petquant.nifti import encode_nifti
 
 from conftest import mask_from_coords
 
@@ -196,6 +212,118 @@ class TestQuantifyCohort:
         a = quantify_cohort(entries, threads=1)
         b = quantify_cohort(entries, threads=4)
         assert [(q.baseline, q.followup) for q in a] == [(q.baseline, q.followup) for q in b]
+
+    def test_never_widens_a_whole_grid(self, cohort_dir, monkeypatch):
+        # every volume is checked whole but widened to float64 on its mask's box only
+        widened = []
+        original = nifti._to_volume
+        monkeypatch.setattr(
+            nifti, "_to_volume", lambda grid, *a: widened.append(grid.shape) or original(grid, *a)
+        )
+        quantify_cohort(load_manifest(cohort_dir / "manifest.csv"), threads=2)
+        assert len(widened) == 2 * 8
+        assert all(np.prod(shape) < np.prod(DIMS) for shape in widened), widened
+
+
+def _write_nifti(path, grid, datatype=16, slope=1.0, inter=0.0) -> None:
+    header, payload = encode_nifti(grid, SPACING, datatype)
+    header = bytearray(header)
+    header[112:120] = np.array([slope, inter], dtype="<f4").tobytes()  # scl_slope, scl_inter
+    path.write_bytes(bytes(header) + bytes(payload))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PetQuantError as exc:
+        return type(exc), str(exc)
+
+
+def _extract_both(path, mask, acq):
+    """extract_file's outcome, and that of extracting from the whole volume read."""
+    unit = IntensityUnit.SUV if acq is None else IntensityUnit.ACTIVITY_KBQ_PER_ML
+    return (
+        _outcome(lambda: extract_file(path, mask, acq)),
+        _outcome(lambda: extract(read_volume(path, unit=unit), mask, acq)),
+    )
+
+
+class TestExtractFile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.floats(0.0, 1.0),
+        datatype=st.sampled_from([4, 16]),
+        scale=st.sampled_from([(1.0, 0.0), (0.0, 0.0), (2.5, -1.25), (1e-3, 7.0)]),
+        acq=st.sampled_from([None, AcquisitionInfo(180.0, 60.0), AcquisitionInfo(333.0, 71.3)]),
+    )
+    def test_equals_extract_of_the_whole_volume(
+        self, tmp_path_factory, dims, seed, fill, datatype, scale, acq
+    ):
+        rng = np.random.default_rng(seed)
+        grid = rng.normal(20.0, 15.0, dims)
+        if datatype == 4:
+            grid = np.round(grid * 50).astype(np.int16)
+        path = tmp_path_factory.mktemp("x") / "v.nii"
+        _write_nifti(path, np.asfortranarray(grid), datatype, *scale)
+        mask = BinaryMask(rng.random(dims) < fill, SPACING)
+        new, old = _extract_both(path, mask, acq)
+        assert new == old
+
+    def test_sidecar_equals_extract_of_the_whole_volume(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "v.json"
+        write_volume(Volume3D(rng.normal(3.0, 1.0, (6, 5, 4)), SPACING, IntensityUnit.SUV), path)
+        mask = BinaryMask(rng.random((6, 5, 4)) < 0.3, SPACING)
+        new, old = _extract_both(path, mask, None)
+        assert new == old and new.voxel_count > 0
+
+    def _nan_file(self, tmp_path):
+        grid = np.full((6, 5, 4), 4.0)
+        # the first non-finite voxel in C index order is (0, 1, 0); in the
+        # x-fastest payload (3, 0, 0) comes first
+        grid[3, 0, 0] = grid[0, 1, 0] = np.nan
+        path = tmp_path / "nan.nii"
+        _write_nifti(path, grid)
+        return path
+
+    def test_nan_outside_the_mask_rejected_alike(self, tmp_path):
+        bits = np.zeros((6, 5, 4), dtype=bool)
+        bits[5, 4, 3] = True
+        new, old = _extract_both(self._nan_file(tmp_path), BinaryMask(bits, SPACING), None)
+        assert new == old == (VolumeDataError, "non-finite voxel value at index (0, 1, 0)")
+
+    @pytest.mark.parametrize("dims, spacing", [((6, 5, 3), SPACING), ((6, 5, 4), (4.0, 4.0, 2.0))])
+    def test_geometry_mismatch_rejected_alike(self, tmp_path, dims, spacing):
+        path = tmp_path / "v.nii"
+        _write_nifti(path, np.ones((6, 5, 4)))
+        new, old = _extract_both(path, BinaryMask(np.ones(dims, dtype=bool), spacing), None)
+        assert new == old and new[0] is GeometryMismatchError
+
+    def test_non_finite_reported_before_geometry(self, tmp_path):
+        mask = BinaryMask(np.ones((2, 2, 2), dtype=bool), SPACING)
+        new, old = _extract_both(self._nan_file(tmp_path), mask, None)
+        assert new == old and new[0] is VolumeDataError
+
+    def test_sidecar_unit_conflict_rejected_alike(self, tmp_path):
+        path = tmp_path / "v.json"
+        values = np.full((6, 5, 4), 2.0)
+        values[0, 0, 0] = np.inf  # the unit is checked first
+        write_volume(Volume3D(np.ones((6, 5, 4)), SPACING, IntensityUnit.SUV), path)
+        path.with_suffix(".raw").write_bytes(values.astype("<f4").tobytes(order="F"))
+        mask = BinaryMask(np.ones((1, 1, 1), dtype=bool), SPACING)
+        new, old = _extract_both(path, mask, AcquisitionInfo(180.0, 60.0))
+        assert new == old and new[0] is IntensityUnitError
+
+    def test_empty_mask_reads_and_warns_alike(self, tmp_path):
+        path = tmp_path / "v.nii"
+        _write_nifti(path, np.ones((6, 5, 4)))
+        mask = BinaryMask(np.zeros((6, 5, 4), dtype=bool), SPACING)
+        new, old = _extract_both(path, mask, AcquisitionInfo(180.0, 60.0))
+        assert new == old and new.warnings == ("empty mask: biomarkers set to zero",)
+        new, old = _extract_both(self._nan_file(tmp_path), mask, None)
+        assert new == old and new[0] is VolumeDataError
 
 
 BL_DIMS, FU_DIMS = (8, 8, 4), (16, 16, 8)

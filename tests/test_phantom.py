@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petquant import (
     IntensityUnit,
@@ -19,6 +21,8 @@ from petquant import (
     phantom,
     read_mask,
 )
+
+from conftest import naive_cohort_files
 
 DIMS = (24, 24, 24)
 SPACING = (4.0, 4.0, 4.0)
@@ -236,6 +240,68 @@ class TestGenerateCohort:
         assert not isinstance(lesion.value, LesionSpecError)
         assert not isinstance(cohort.value, LesionSpecError)
         assert not (tmp_path / "o").exists()
+
+    # noiseless, noisy, and outliers (one clamped to the grid) on odd-sized,
+    # anisotropic grids
+    RASTER_CASES = {
+        "noiseless": dict(
+            n=4, response=ResponseModel(0.6, 0.2), seed=3, dims=(17, 14, 11),
+            spacing=(4.0, 3.5, 4.5), baseline_radius_mm=9.0, peak_suv=7.3, background_suv=0.7,
+        ),
+        "noisy": dict(
+            n=4, response=ResponseModel(0.7, 0.3, 0.25, 3.0), seed=9, dims=(15, 16, 13),
+            spacing=(3.0, 4.0, 2.5), baseline_radius_mm=8.0, noise_sd=0.4,
+        ),
+        "outliers": dict(
+            n=5, response=ResponseModel(0.5, 0.1, 0.4, 1e308), seed=11, dims=(12, 13, 10),
+            spacing=SPACING, baseline_radius_mm=8.0, noise_sd=1.0, background_suv=0.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", sorted(RASTER_CASES))
+    def test_files_equal_the_whole_grid_raster(self, tmp_path, case, threads):
+        kw = self.RASTER_CASES[case]
+        generate_cohort(out_dir=tmp_path, threads=threads, **kw)
+        want = naive_cohort_files(
+            tmp_path,
+            kw.get("peak_suv", 10.0),
+            kw.get("background_suv", 1.0),
+            kw.get("noise_sd", 0.0),
+        )
+        got = {p.name: p.read_bytes() for p in tmp_path.glob("*.nii")}
+        assert sorted(got) == sorted(want)
+        for name, data in want.items():
+            assert got[name] == data, name
+        if case == "outliers":  # a ratio of 1e308 or more fills the grid
+            truth = json.loads((tmp_path / "ground_truth.json").read_text())
+            counts = [p["followup"]["voxel_count"] for p in truth["patients"] if p["is_outlier"]]
+            assert counts == [12 * 13 * 10] * 2
+
+    @pytest.mark.parametrize(
+        "response, count",
+        [(ResponseModel(1e308), "inf"), (ResponseModel(100.0), str(100 * 36))],
+    )
+    def test_follow_up_beyond_the_grid_rejected_before_writing(self, tmp_path, response, count):
+        # 36 voxel centers lie within 8 mm of the 12x13x10 grid's center
+        with pytest.raises(LesionSpecError, match=f"blob of {count} voxels exceeds the 1560-voxel"):
+            generate_cohort(
+                3, response, 0, tmp_path / "o", dims=(12, 13, 10), spacing=SPACING,
+                baseline_radius_mm=8.0,
+            )
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=80).flatmap(
+            lambda d: st.tuples(st.just(d), st.integers(1, len(d)))
+        )
+    )
+    def test_growth_prefix_is_the_stable_argsort_prefix(self, case):
+        # few distinct distances: ties everywhere, broken by linear index
+        d, k = np.sqrt(np.asarray(case[0], dtype=float)), case[1]
+        want = np.argsort(d, kind="stable")[:k]
+        np.testing.assert_array_equal(phantom._growth_prefix(d, k), want)
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(Exception):

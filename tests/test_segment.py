@@ -63,6 +63,19 @@ class TestPctThreshold:
         mask = threshold_pct_suvmax(vol, roi, 0.4)
         assert sorted(vol.values[mask.bits]) == [4.0, 10.0]  # the 100 is outside the ROI
 
+    @pytest.mark.parametrize("offset", [0.0, -50.0])  # -50: every value negative
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_no_roi_equals_the_whole_grid_roi(self, rng, offset, order):
+        values = np.asarray(rng.normal(offset, 10.0, (7, 6, 5)), order=order)
+        vol = Volume3D(values, (4.0, 4.0, 2.0))
+        for pct in (0.05, 0.5, 0.97):
+            bits = threshold_pct_suvmax(vol, None, pct).bits
+            want = threshold_pct_suvmax(vol, full_roi(vol), pct).bits
+            np.testing.assert_array_equal(bits, want)
+            assert bits.flags.f_contiguous == values.flags.f_contiguous
+        with pytest.raises(ParameterError):
+            threshold_pct_suvmax(vol, None, 1.0)
+
     def test_empty_roi_rejected(self):
         vol = line_volume([1, 2, 3])
         with pytest.raises(EmptyRegionError):

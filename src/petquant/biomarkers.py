@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntensityUnitError, VolumeDataError
-from .mask import BinaryMask, bounding_box, require_same_geometry
+from .mask import BinaryMask, require_same_geometry
 from .volume import AcquisitionInfo, IntensityUnit, Volume3D
 
 
@@ -58,7 +58,7 @@ def extract(vol: Volume3D, mask: BinaryMask, acq: AcquisitionInfo | None = None)
         raise IntensityUnitError(
             f"biomarker extraction needs {need.value} input, got {vol.unit.value}"
         )
-    box = bounding_box(mask.bits)
+    box = mask.box
     if box is None:
         return BiomarkerSet(0.0, 0.0, 0.0, 0.0, 0, ("empty mask: biomarkers set to zero",))
     # the box keeps the voxels' logical index order, so mean's pairwise sum is unchanged

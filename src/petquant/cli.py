@@ -13,22 +13,26 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import cohort as cohort_mod
 from .biomarkers import BiomarkerSet, delta as biomarker_delta
 from .errors import InputDataError, ParameterError, PetQuantError, check_real
 from .losses import LossParams, gradient_check
-from .mask import BinaryMask
+from .mask import BinaryMask, grow_box, paste
 from .metrics import dice, hausdorff_mm, iou, sensitivity
-from .nifti import read_mask, read_volume, write_mask, write_volume
+from .nifti import read_mask, read_stored, write_mask, write_volume
 from .phantom import LesionSpec, ResponseModel, generate, generate_cohort
 from .qc import fixed_threshold
-from .segment import postprocess, threshold_contrast_iterative, threshold_pct_suvmax
+from .segment import (
+    BACKGROUND_SHELL_GAP,
+    check_param,
+    postprocess,
+    threshold_contrast_iterative,
+    threshold_pct_suvmax,
+)
 from .serialize import dumps_csv, dumps_json, write_text_atomic
 from .volume import AcquisitionInfo
 
@@ -125,14 +129,8 @@ def _fields(obj, where: str, types: dict, required=()) -> dict:
     return out
 
 
-def _parse_roi(spec: str | list, grid: np.ndarray) -> np.ndarray:
-    """Half-open voxel box x0,y0,z0,x1,y1,z1 from a --roi string or a config
-    list, as a boolean grid in `grid`'s shape and memory layout.
-
-    Every axis must satisfy 0 <= lo < hi <= dim: no negative (wrapped) index,
-    no clipping, no empty box.
-    """
-    dims = grid.shape
+def _roi_bounds(spec: str | list) -> list[int]:
+    """The six integers x0,y0,z0,x1,y1,z1 of a --roi string or a config list."""
     parts = spec.split(",") if isinstance(spec, str) else spec
     try:
         # bools and floats are dropped here: int() would truncate them silently
@@ -141,16 +139,24 @@ def _parse_roi(spec: str | list, grid: np.ndarray) -> np.ndarray:
         bounds = []
     if len(bounds) != 6 or len(bounds) != len(parts):
         raise ParameterError(f"roi needs 6 integers x0,y0,z0,x1,y1,z1, got {spec!r}")
+    return bounds
+
+
+def _roi_box(spec: str | list, dims) -> tuple[slice, slice, slice]:
+    """The half-open voxel box of a --roi string or config list on a grid of `dims`.
+
+    Every axis must satisfy 0 <= lo < hi <= dim: no negative (wrapped) index,
+    no clipping, no empty box.
+    """
+    bounds = _roi_bounds(spec)
     if not all(0 <= bounds[i] < bounds[i + 3] <= dims[i] for i in range(3)):
         raise ParameterError(f"roi {spec!r} needs 0 <= lo < hi <= dim on each axis of {dims}")
-    x0, y0, z0, x1, y1, z1 = bounds
-    box = np.zeros_like(grid, dtype=bool)
-    box[x0:x1, y0:y1, z0:z1] = True
-    return box
+    x, y, z = (slice(bounds[i], bounds[i + 3]) for i in range(3))
+    return (x, y, z)
 
 
-# config keys; the segment flags use the same names as their dest. _parse_roi
-# checks the roi, and null means the whole volume.
+# config keys; the segment flags use the same names as their dest. _roi_bounds
+# and _roi_box check the roi, and null means the whole volume.
 _SEG_CONFIG = {
     **dict.fromkeys(("pct", "a", "b", "tol"), float),
     "max_iter": int,
@@ -162,27 +168,59 @@ _CONTRAST_KEYS = ("a", "b", "tol", "max_iter")  # passed only when set: the libr
 
 
 def _load_seg_config(args) -> dict:
+    """The segment settings: defaults, then the --config file, then the flags.
+
+    The parameters the method uses and the roi's syntax are checked here,
+    before any file is opened or made; the error names the config file when
+    the bad value came from it. The roi's bounds are checked per volume.
+    """
     cfg = {"method": "pct_suvmax", "pct": 0.5, "roi": None, "postprocess": True}
+    from_file = {}
     if args.config:
-        cfg.update(_fields(_read_json(args.config), args.config, _SEG_CONFIG))
-    # flags win over the config file
-    cfg.update({k: v for k, v in vars(args).items() if k in _SEG_CONFIG and v is not None})
+        from_file = _fields(_read_json(args.config), args.config, _SEG_CONFIG)
+    flags = {k: v for k, v in vars(args).items() if k in _SEG_CONFIG and v is not None}
+    cfg.update(from_file)
+    cfg.update(flags)  # flags win over the config file
     if args.no_postprocess:
         cfg["postprocess"] = False
     if cfg["method"] not in ("pct_suvmax", "contrast"):
         raise ParameterError(f"method must be 'pct_suvmax' or 'contrast', got {cfg['method']!r}")
+    params = ("pct",) if cfg["method"] == "pct_suvmax" else _CONTRAST_KEYS
+    for key in (*params, "roi"):
+        if cfg.get(key) is None:
+            continue
+        named = key in from_file and key not in flags
+        with _naming(args.config) if named else nullcontext():
+            if key == "roi":
+                _roi_bounds(cfg[key])
+            else:
+                check_param(key, cfg[key])
     return cfg
 
 
 def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
-    """Segment one volume file into a mask file; returns the run's info."""
-    vol = read_volume(vol_path)
-    roi = None  # threshold_pct_suvmax takes None as the whole grid
-    if cfg["roi"] is not None or cfg["method"] == "contrast":
-        whole = cfg["roi"] is None
-        bits = np.ones_like(vol.values, dtype=bool) if whole else _parse_roi(cfg["roi"], vol.values)
-        bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
-        roi = BinaryMask(bits, vol.spacing)
+    """Segment one volume file into a mask file; returns the run's info.
+
+    The stored grid is checked whole, but widened to float64 only where a
+    threshold reads values: nowhere for pct_suvmax without an roi, which
+    compares the stored grid; else on the roi's box (the whole grid when
+    there is none), grown for contrast by the background shell's reach.
+    The primitives treat everything beyond a box as background, so the mask
+    made on that crop and pasted back is the whole grid's.
+    """
+    stored = read_stored(vol_path)
+    crop = None
+    if cfg["roi"] is None and cfg["method"] == "pct_suvmax":
+        vol, roi = stored, None  # threshold_pct_suvmax takes None as the whole grid
+    else:
+        dims = stored.dims
+        whole = (slice(0, dims[0]), slice(0, dims[1]), slice(0, dims[2]))
+        box = whole if cfg["roi"] is None else _roi_box(cfg["roi"], dims)
+        reach = BACKGROUND_SHELL_GAP if cfg["method"] == "contrast" else 0
+        crop = grow_box(box, reach, dims)
+        vol = stored.widen(crop)
+        x, y, z = (slice(b.start - c.start, b.stop - c.start) for b, c in zip(box, crop))
+        roi = paste(True, (x, y, z), vol)
     info: dict = {"method": cfg["method"]}
     if cfg["method"] == "pct_suvmax":
         mask = threshold_pct_suvmax(vol, roi, cfg["pct"])
@@ -201,6 +239,8 @@ def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
         )
     if cfg["postprocess"]:
         mask = postprocess(mask)
+    if crop is not None:
+        mask = paste(mask.bits, crop, stored)
     write_mask(mask, mask_path)
     info["voxel_count"] = mask.voxel_count
     return info

@@ -59,6 +59,7 @@ def check_real(name, value, *, gt=None, ge=None, lt=None, le=None, error=Paramet
     """Raise `error` unless `value` is finite and meets every bound given
     (`gt`: >, `ge`: >=, `lt`: <, `le`: <=); the message names `name`."""
     bounds = {sign: b for sign, b in zip(_COMPARE, (gt, ge, lt, le)) if b is not None}
-    if not (math.isfinite(value) and all(_COMPARE[s](value, b) for s, b in bounds.items())):
+    finite = isinstance(value, int) or math.isfinite(value)  # an int may be too big for a float
+    if not (finite and all(_COMPARE[s](value, b) for s, b in bounds.items())):
         rule = "".join(f" and {s} {b}" for s, b in bounds.items())
         raise error(f"{name} must be finite{rule}, got {value}")

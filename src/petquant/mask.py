@@ -6,10 +6,11 @@ here is a pure function; masks are immutable and thread-safe to share.
 A lesion covers a tiny share of a PET grid, so the primitives that scan a
 mask (`centroid`, `boundary_voxels`, and `largest_component`/`fill_holes`
 as `segment.postprocess` calls them) work on the foreground's bounding box
-(`bounding_box`) and paste full-grid results back. A sub-box keeps the
-logical (x, y, z) index order, whatever the memory layout, so labels,
-tie-breaks and coordinate order are those of the full grid. Full-grid
-masks made here take the layout of the grid they sit on.
+(`bounding_box`, found once per mask as `BinaryMask.box`) and paste
+full-grid results back. A sub-box keeps the logical (x, y, z) index order,
+whatever the memory layout, so labels, tie-breaks and coordinate order are
+those of the full grid. Full-grid masks made here take the layout of the
+grid they sit on.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyRegionError, GeometryMismatchError, ParameterError
-from .volume import Volume3D, _Grid, check_grid
+from .volume import _Grid, check_grid
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
 _STRUCT_26 = ndimage.generate_binary_structure(3, 3)
@@ -52,21 +53,29 @@ class BinaryMask(_Grid):
 
     @property
     def voxel_count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))  # a bool sum widens every voxel to int
+
+    @property
+    def box(self) -> tuple[slice, slice, slice] | None:
+        """The foreground's bounding box (`bounding_box`), None when empty;
+        found on the first use and kept, since the mask cannot change."""
+        try:
+            return self.__dict__["_box"]
+        except KeyError:
+            box = self.__dict__["_box"] = bounding_box(self.bits)
+            return box
 
     @property
     def is_empty(self) -> bool:
-        return not self.bits.any()
+        return self.box is None
 
 
-def require_same_geometry(a: Volume3D | BinaryMask | tuple, b: Volume3D | BinaryMask) -> None:
-    """`a` and `b` share dims and spacing; `a` may also be the (dims, spacing)
-    of a grid not yet read into a Volume3D."""
-    dims, spacing = a if isinstance(a, tuple) else (a.dims, a.spacing)
-    if dims != b.dims:
-        raise GeometryMismatchError(f"grid dims differ: {dims} vs {b.dims}")
-    if spacing != b.spacing:
-        raise GeometryMismatchError(f"voxel spacing differs: {spacing} vs {b.spacing}")
+def require_same_geometry(a: _Grid, b: _Grid) -> None:
+    """`a` and `b` share dims and spacing."""
+    if a.dims != b.dims:
+        raise GeometryMismatchError(f"grid dims differ: {a.dims} vs {b.dims}")
+    if a.spacing != b.spacing:
+        raise GeometryMismatchError(f"voxel spacing differs: {a.spacing} vs {b.spacing}")
 
 
 class Quadrant(enum.Enum):
@@ -113,8 +122,14 @@ def bounding_box(bits: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice
         lo, hi = int(hit[0]), int(hit[-1]) + 1
         # narrow to the slab found so far
         sub = sub[(slice(None),) * axis + (slice(lo, hi),)]
-        box[axis] = slice(max(lo - margin, 0), min(hi + margin, bits.shape[axis]))
-    return (box[0], box[1], box[2])
+        box[axis] = slice(lo, hi)
+    return grow_box((box[0], box[1], box[2]), margin, bits.shape)
+
+
+def grow_box(box: tuple[slice, slice, slice], margin: int, dims) -> tuple[slice, slice, slice]:
+    """`box` grown by `margin` voxels on every side and clipped to `dims`."""
+    x, y, z = (slice(max(s.start - margin, 0), min(s.stop + margin, n)) for s, n in zip(box, dims))
+    return (x, y, z)
 
 
 def paste(bits: np.ndarray, box: tuple[slice, slice, slice], like: _Grid) -> BinaryMask:
@@ -128,7 +143,7 @@ def paste(bits: np.ndarray, box: tuple[slice, slice, slice], like: _Grid) -> Bin
 
 def centroid(mask: BinaryMask) -> Centroid:
     """Arithmetic mean of foreground voxel coordinates."""
-    box = bounding_box(mask.bits)
+    box = mask.box
     if box is None:
         raise EmptyRegionError("centroid of an empty mask is undefined")
     inside = mask.bits[box]
@@ -188,7 +203,7 @@ def fill_holes(mask: BinaryMask) -> BinaryMask:
 def boundary_voxels(mask: BinaryMask) -> np.ndarray:
     """Coordinates (N, 3) of foreground voxels with a 6-neighbor outside the
     mask or outside the volume, in lexicographic order."""
-    box = bounding_box(mask.bits)
+    box = mask.box
     if box is None:
         return np.empty((0, 3), dtype=np.intp)  # what argwhere gives for no voxels
     bits = mask.bits[box]

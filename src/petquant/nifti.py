@@ -14,9 +14,13 @@ A bad header or sidecar field raises ``VolumeFormatError`` naming it (checked
 before the payload is opened), an unusable payload ``VolumeDataError``; the
 CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats;
 ``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
-written as float32, masks as uint8 0/1. ``read_volume`` promotes the whole
-grid to float64; ``read_volume_box``, the quantification reader, checks the
-whole stored grid and promotes only a mask's bounding box.
+written as float32, masks as uint8 0/1.
+
+``read_volume`` promotes the whole grid to float64. The pipeline's readers
+do not: ``read_stored``, the segmentation reader, checks the whole grid in
+its stored dtype and returns it as a ``StoredVolume``, which widens to
+float64 only the box it is asked for; ``read_volume_box``, the
+quantification reader, widens only a mask's bounding box.
 
 Grids stay in file order: a volume or mask read here is an F-contiguous
 (x-fastest) array, as the payload is stored, so reading widens without a
@@ -29,14 +33,15 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError, check_real
-from .mask import BinaryMask, bounding_box, require_same_geometry
+from .mask import BinaryMask, require_same_geometry
 from .serialize import write_bytes_atomic
-from .volume import IntensityUnit, Volume3D, check_finite, check_grid
+from .volume import IntensityUnit, Volume3D, _Grid, check_finite, check_grid
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extender
@@ -233,8 +238,11 @@ def encode_nifti(values: np.ndarray, spacing, datatype: int) -> tuple[bytes, mem
     """The one NIfTI encoder: header and x-fastest payload of `values` stored
     as `datatype` (2 uint8, 4 int16, 16 float32), to write back to back. An
     F-contiguous grid converts without a transpose; a C one is transposed.
-    The payload is the converted array's own buffer, as bytes, not a copy."""
-    data = values.astype(_DTYPES[datatype], order="F").reshape(-1, order="F")  # a view
+    The payload is the converted array's own buffer, as bytes, not a copy; an
+    F-contiguous uint8 or bool grid stored as uint8 is its own payload."""
+    if values.dtype == np.bool_:
+        values = values.view(np.uint8)  # False and True are the bytes 0 and 1
+    data = values.astype(_DTYPES[datatype], order="F", copy=False).reshape(-1, order="F")  # a view
     return _nifti_header(values.shape, spacing, datatype), memoryview(data).cast("B")
 
 
@@ -268,21 +276,56 @@ def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> V
     return _to_volume(grid, spacing, slope, inter, _unit(path, stored, unit))
 
 
+@dataclass(frozen=True)
+class StoredVolume(_Grid):
+    """A volume file as stored: its (nx, ny, nz) grid, read-only and x-fastest
+    in the stored dtype (uint8, int16 or float32) with every voxel finite, its
+    spacing and unit, and the scl slope and intercept that map it to values."""
+
+    grid: np.ndarray
+    spacing: tuple[float, float, float]
+    unit: IntensityUnit
+    slope: float = 1.0
+    inter: float = 0.0
+
+    _ARRAY = "grid"
+
+    @property
+    def values(self) -> np.ndarray:
+        """The voxel values exactly: the stored grid itself when the scl map is
+        the identity, else the whole grid widened to float64."""
+        if self.slope == 1.0 and self.inter == 0.0:
+            return self.grid
+        return self.widen().values
+
+    def widen(self, box: tuple[slice, slice, slice] | None = None) -> Volume3D:
+        """The float64 volume of the whole grid or of its `box`."""
+        grid = self.grid if box is None else self.grid[box]
+        return _to_volume(grid, self.spacing, self.slope, self.inter, self.unit)
+
+
+def read_stored(path: str | os.PathLike, unit: IntensityUnit | None = None) -> StoredVolume:
+    """The volume at `path` as stored, with `read_volume`'s checks in its
+    order: the unit is resolved the same way, and non-finite values are
+    sought in the stored dtype, since finite scl factors keep a finite stored
+    value finite. Nothing is widened."""
+    grid, spacing, slope, inter, stored = _decode(Path(path))
+    unit = _unit(path, stored, unit)
+    check_finite(grid)
+    return StoredVolume(grid, spacing, unit, slope, inter)
+
+
 def read_volume_box(
     path: str | os.PathLike, mask: BinaryMask, unit: IntensityUnit | None = None
 ) -> tuple[Volume3D, BinaryMask]:
     """The volume at `path` and `mask`, both cut to the mask's bounding box (a
     one-voxel corner when the mask is empty), for `biomarkers.extract`. The
-    whole grid gets `read_volume`'s checks, then `extract`'s geometry check;
-    non-finite values are sought in the stored dtype, since finite scl factors
-    keep a finite stored value finite. Only the box is widened to float64."""
-    grid, spacing, slope, inter, stored = _decode(Path(path))
-    unit = _unit(path, stored, unit)
-    check_finite(grid)
-    require_same_geometry((grid.shape, spacing), mask)
-    box = bounding_box(mask.bits) or (slice(0, 1),) * 3
-    vol = _to_volume(grid[box], spacing, slope, inter, unit)
-    return vol, BinaryMask(mask.bits[box], mask.spacing)
+    whole grid gets `read_stored`'s checks, then `extract`'s geometry check;
+    only the box is widened to float64."""
+    vol = read_stored(path, unit)
+    require_same_geometry(vol, mask)
+    box = mask.box or (slice(0, 1),) * 3
+    return vol.widen(box), BinaryMask(mask.bits[box], mask.spacing)
 
 
 def write_volume(vol: Volume3D, path: str | os.PathLike) -> None:

@@ -37,6 +37,9 @@ DEFAULT_SPACING = (4.0, 4.0, 4.0)
 # dose 3 MBq/kg on a 60 kg patient: SUV 10 maps to 30 kBq/mL exactly in float32
 DEFAULT_DOSE_MBQ = 180.0
 DEFAULT_WEIGHT_KG = 60.0
+# a cohort plans every patient's random stream and follow-up count in memory
+# before it writes four full-grid files per patient
+MAX_COHORT = 10_000
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,10 @@ def generate_cohort(
     Volumes are stored as activity concentration (kBq/mL) with matching
     dose/weight columns, so the quantification pipeline exercises the SUV
     conversion. Follow-up lesions hit round(ratio·N_bl) voxels exactly.
-    The baseline lesion follows LesionSpec's rules. Returns the manifest path.
+    The baseline lesion follows LesionSpec's rules, and 1 <= n <= MAX_COHORT.
+    Returns the manifest path.
     """
-    check_real("n", n, ge=1)
+    check_real("n", n, ge=1, le=MAX_COHORT)
     center = tuple((d - 1) / 2.0 for d in dims)
     lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd)
     _check_fits(lesion.center, lesion.radius_mm, dims, spacing)

@@ -12,15 +12,25 @@ component connected to the ROI maximum.
 The lesion and its ROI cover a tiny share of the grid, so the threshold
 selection, the seed labeling, the background shell and the
 post-processing morphology run on the foreground's bounding box
-(`mask.bounding_box`, plus the margin each needs) and paste full-grid
+(`BinaryMask.box`, plus the margin each needs) and paste full-grid
 masks back; the results are the full-grid ones bit for bit. A box keeps the
 logical (x, y, z) index order, whatever the memory layout, so masked values,
 the first-argmax seed and `mean`'s pairwise sum come out in the same order.
+For the same reason a caller may run a threshold and `postprocess` on a
+crop holding the ROI (plus BACKGROUND_SHELL_GAP for the contrast rule) and
+paste the mask back, as `petquant segment` does.
+
+Without an ROI, `threshold_pct_suvmax` also takes a file's grid as stored
+(`nifti.StoredVolume`) and compares it in its stored dtype against the
+least stored value at or above pct · max: the mask of widening every voxel
+to float64 first, without the widening.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
@@ -29,13 +39,16 @@ from .errors import EmptyRegionError, check_real
 from .mask import (
     BinaryMask,
     _structure,
-    bounding_box,
     fill_holes,
+    grow_box,
     largest_component,
     paste,
     require_same_geometry,
 )
 from .volume import Volume3D
+
+if TYPE_CHECKING:
+    from .nifti import StoredVolume
 
 DEFAULT_CONTRAST_A = 0.39
 DEFAULT_CONTRAST_B = 1.0
@@ -44,20 +57,55 @@ DEFAULT_CONTRAST_B = 1.0
 BACKGROUND_SHELL_GAP = 3
 
 
-def threshold_pct_suvmax(vol: Volume3D, roi: BinaryMask | None, pct: float) -> BinaryMask:
+# each threshold parameter's range, checked by the thresholds and, before any
+# file is read, by the CLI
+_PARAM_RANGES = {
+    "pct": {"gt": 0, "lt": 1},
+    "a": {"gt": 0, "lt": 1},
+    "b": {"ge": 0},
+    "tol": {"ge": 0},
+    "max_iter": {"ge": 1},
+}
+
+
+def check_param(name: str, value) -> None:
+    """ParameterError unless `value` lies in the range of the threshold
+    parameter `name` (pct, a, b, tol or max_iter)."""
+    check_real(name, value, **_PARAM_RANGES[name])
+
+
+def _least_at_or_above(t: float, dtype: np.dtype):
+    """The least value of `dtype` at or above `t`, a float within its range:
+    `grid >= it` is the float64 comparison `grid >= t` for a grid of that
+    dtype. A Python float `t` itself would be rounded to float32 against a
+    float32 grid (NEP 50), which moves the mask at the boundary."""
+    if dtype.kind in "iu":
+        return dtype.type(math.ceil(t))
+    least = dtype.type(t)
+    return least if float(least) >= t else np.nextafter(least, dtype.type(np.inf))
+
+
+def threshold_pct_suvmax(
+    vol: Volume3D | StoredVolume, roi: BinaryMask | None, pct: float
+) -> BinaryMask:
     """Voxels inside the ROI (the whole grid when None) at or above pct · (ROI max).
-    Never empty."""
+    Never empty.
+
+    With no ROI, `vol` may also be a volume file as stored
+    (`nifti.StoredVolume`): an unscaled grid is compared in its stored dtype,
+    with the float64 comparison's result, and is never widened."""
     if roi is not None:
         require_same_geometry(vol, roi)
         if roi.is_empty:
             raise EmptyRegionError("ROI is empty")
-    check_real("pct", pct, gt=0, lt=1)
+    check_param("pct", pct)
+    values = vol.values
     if roi is None:
-        vmax = float(vol.values.max())
+        vmax = float(values.max())
     else:  # no copy of the ROI's values
-        vmax = float(np.max(vol.values, where=roi.bits, initial=-np.inf))
+        vmax = float(np.max(values, where=roi.bits, initial=-np.inf))
     # min() keeps the max voxel included when vmax < 0
-    bits = vol.values >= min(pct * vmax, vmax)
+    bits = values >= _least_at_or_above(min(pct * vmax, vmax), values.dtype)
     if roi is not None:
         bits &= roi.bits
     bits.flags.writeable = False  # nothing else holds it, so BinaryMask need not copy
@@ -69,10 +117,10 @@ def background_estimate(vol: Volume3D, roi: BinaryMask) -> float:
 
     Returns 0.0 when the shell leaves the volume entirely (ROI fills the grid).
     """
-    # the dilations reach BACKGROUND_SHELL_GAP voxels, so they stay in this box
-    box = bounding_box(roi.bits, BACKGROUND_SHELL_GAP)
-    if box is None:
+    if roi.box is None:
         return 0.0
+    # the dilations reach BACKGROUND_SHELL_GAP voxels, so they stay in this box
+    box = grow_box(roi.box, BACKGROUND_SHELL_GAP, roi.dims)
     struct = _structure(6)
     inner = ndimage.binary_dilation(roi.bits[box], structure=struct, iterations=BACKGROUND_SHELL_GAP - 1)
     shell = ndimage.binary_dilation(inner, structure=struct) & ~inner
@@ -107,12 +155,10 @@ def threshold_contrast_iterative(
     require_same_geometry(vol, roi)
     if roi.is_empty:
         raise EmptyRegionError("ROI is empty")
-    check_real("a", a, gt=0, lt=1)
-    check_real("b", b, ge=0)
-    check_real("tol", tol, ge=0)
-    check_real("max_iter", max_iter, ge=1)
+    for name, value in (("a", a), ("b", b), ("tol", tol), ("max_iter", max_iter)):
+        check_param(name, value)
 
-    box = bounding_box(roi.bits)
+    box = roi.box
     roi_bits = roi.bits[box]
     box_values = vol.values[box]
     roi_values = box_values[roi_bits]
@@ -150,8 +196,8 @@ def postprocess(mask: BinaryMask) -> BinaryMask:
     """Largest 26-connected component with interior holes filled."""
     # the 1-voxel margin keeps all exterior background 6-connected to the
     # crop's border, so holes filled in the crop are the full grid's holes
-    box = bounding_box(mask.bits, 1)
-    if box is None:
+    if mask.box is None:
         return mask
+    box = grow_box(mask.box, 1, mask.dims)
     crop = BinaryMask(mask.bits[box], mask.spacing)
     return paste(fill_holes(largest_component(crop, connectivity=26)).bits, box, mask)

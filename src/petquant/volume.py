@@ -2,7 +2,9 @@
 
 A :class:`Volume3D` is an immutable dense scalar grid with physical voxel
 spacing in mm and a declared intensity unit. All statistics run in float64;
-float32 appears only at the file boundary (see :mod:`petquant.nifti`).
+float32 appears only at the file boundary (see :mod:`petquant.nifti`) and
+in the no-ROI percentage threshold, which compares a file's stored grid
+with float64's result (see :mod:`petquant.segment`).
 Grids keep the memory layout they are given, C- or F-contiguous: a volume
 read from a file stays in the file's x-fastest order.
 """

@@ -2,8 +2,9 @@
 
 The oracles here (BFS labeling, border flood fill, all-pairs Hausdorff,
 the full-grid background shell and contrast seed component, the per-voxel
-central differences, the whole-grid phantom raster) stay independent of the
-production code paths they check.
+central differences, the whole-grid phantom raster, the widen-then-compare
+percentage threshold) stay independent of the production code paths they
+check.
 """
 
 from __future__ import annotations
@@ -220,6 +221,14 @@ def naive_central_differences(t: np.ndarray, p: np.ndarray, step: float, params)
         flat[i] = orig
         fd[i] = (hi - lo) / (2.0 * step)
     return fd
+
+
+def naive_pct_threshold(grid: np.ndarray, slope: float, inter: float, pct: float) -> np.ndarray:
+    """Widen-then-compare: every stored voxel to float64 through the scl map
+    (value = stored · slope + inter), then value >= min(pct · max, max)."""
+    values = grid.astype(np.float64) * slope + inter
+    vmax = values.max()
+    return values >= min(pct * vmax, vmax)
 
 
 def random_mask(rng: np.random.Generator, dims, p=0.3, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

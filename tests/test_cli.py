@@ -16,8 +16,8 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant import cli
-from petquant.cli import UsageError, _parse_roi, main
+from petquant import cli, nifti
+from petquant.cli import UsageError, _roi_box, main
 from petquant.cohort import MANIFEST_COLUMNS, load_manifest, write_manifest
 from petquant.losses import LossParams
 from petquant.phantom import LesionSpec
@@ -349,10 +349,48 @@ class TestSegment:
         assert json.loads(err)["message"] == f"{name} must be finite and >= 0, got {value}"
         assert not mask_path.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--pct", "2"), "pct must"),
+            (("--roi", "1,2,3"), "roi needs 6 integers"),
+            (("--method", "contrast", "--max-iter", "0"), "max_iter must"),
+            (("--method", "contrast", "--contrast-a", "1"), "a must"),
+        ],
+    )
+    def test_bad_parameter_fails_before_any_file(
+        self, cohort_dir, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # these used to read the first volume, then exit 1 leaving an empty --out-dir
+        opened = []
+        monkeypatch.setattr(nifti, "_decode", opened.append)
+        out = tmp_path / "D"
+        manifest = str(cohort_dir / "manifest.csv")
+        code, stdout, err = run(capsys, "segment", "--manifest", manifest, "--out-dir", str(out), *flags)
+        assert (code, stdout, opened) == (1, "", [])
+        assert "validation error" in err and message in err
+        assert not out.exists()
+
+    def test_parameter_error_comes_before_io_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run(capsys, "segment", "--manifest", missing, "--out-dir", str(tmp_path / "D"), "--pct", "2")
+        assert code == 1 and "pct must" in err
+
+    def test_bad_value_from_a_flag_does_not_name_the_config(self, lesion_files, tmp_path, capsys):
+        out, _ = lesion_files
+        cfg = tmp_path / "seg.json"
+        cfg.write_text(json.dumps({"pct": 2}))
+        argv = ["segment", str(out / "vol.nii"), "--out", str(tmp_path / "m.nii"), "--config", str(cfg)]
+        code, _, err = run(capsys, *argv, "--json-errors")
+        assert code == 1 and json.loads(err)["message"] == f"{cfg}: pct must be finite and > 0 and < 1, got 2.0"
+        code, _, err = run(capsys, *argv, "--json-errors", "--pct", "3")
+        assert code == 1 and json.loads(err)["message"] == "pct must be finite and > 0 and < 1, got 3.0"
+        code, _, _ = run(capsys, *argv, "--pct", "0.5")  # the flag wins over the file
+        assert code == 0
+
     def test_benchmark_roi_is_valid(self):
-        box = _parse_roi("52,52,13,92,92,53", np.zeros((144, 144, 66), order="F"))
-        assert box.sum() == 40**3 and box[52, 52, 13] and not box[92, 92, 53]
-        assert box.flags.f_contiguous  # the layout of the grid it sits on
+        box = _roi_box("52,52,13,92,92,53", (144, 144, 66))
+        assert box == (slice(52, 92), slice(52, 92), slice(13, 53))  # 40**3 voxels
 
 
 @pytest.fixture(scope="module")
@@ -794,6 +832,12 @@ BAD_VALUES = [
     # integer literals too large for a float
     ("phantom", json.dumps({"lesion": {**_LESION, "peak_suv": 10**400}}), "peak_suv"),
     ("phantom", json.dumps({"lesion": {**_LESION, "center": [11, 10**400, 7]}}), "center"),
+    # checked before any volume is read (a traceback, or the first volume read, before)
+    ("segment", _json({"pct": 2}), "pct must be finite and > 0 and < 1, got 2.0"),
+    ("segment", _json({"roi": [1, 2, 3]}), "roi needs 6 integers"),
+    ("segment", _json({"method": "contrast", "max_iter": 0}), "max_iter must"),
+    ("phantom", json.dumps({"cohort": {**_SMALL, "n": 10**29}}), "n must be finite and >= 1 and <= 10000"),
+    ("phantom", json.dumps({"cohort": {**_SMALL, "n": 10**400}}), "n must"),
 ]
 # BAD_VALUES comes last so the earlier cases keep their ids
 BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES
@@ -802,8 +846,10 @@ BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES
 @pytest.mark.parametrize(
     "command, text, field", BAD_INPUTS, ids=[f"{c}{i}" for i, (c, _, _) in enumerate(BAD_INPUTS)]
 )
-def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, command, text, field):
+def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, monkeypatch, command, text, field):
     out, _ = lesion_files
+    opened = []
+    monkeypatch.setattr(nifti, "_decode", opened.append)
     path = tmp_path / "in.json"
     path.write_text(text)
     result = tmp_path / "result"
@@ -817,4 +863,4 @@ def test_bad_json_input_exits_1(lesion_files, tmp_path, capsys, command, text, f
     assert code == 1
     assert str(path) in err and "Traceback" not in err
     assert field is None or field in err
-    assert not result.exists()
+    assert not result.exists() and opened == []

@@ -36,7 +36,7 @@ from petquant import (
     write_mask,
     write_volume,
 )
-from petquant import nifti
+from petquant import mask as mask_mod, nifti
 from petquant.cohort import (
     MANIFEST_COLUMNS,
     CohortEntry,
@@ -223,6 +223,17 @@ class TestQuantifyCohort:
         quantify_cohort(load_manifest(cohort_dir / "manifest.csv"), threads=2)
         assert len(widened) == 2 * 8
         assert all(np.prod(shape) < np.prod(DIMS) for shape in widened), widened
+
+    def test_each_mask_is_scanned_for_its_box_once(self, cohort_dir, monkeypatch):
+        # the box found for the read also serves is_empty, centroid and extract
+        scans = []
+        original = mask_mod.bounding_box
+        monkeypatch.setattr(
+            mask_mod, "bounding_box", lambda bits, *a: scans.append(bits.shape) or original(bits, *a)
+        )
+        quants = quantify_cohort(load_manifest(cohort_dir / "manifest.csv")[:3])
+        assert [s for s in scans if s == DIMS] == [DIMS] * 2 * 3
+        assert all(q.bl_quadrant is not None for q in quants)
 
 
 def _write_nifti(path, grid, datatype=16, slope=1.0, inter=0.0) -> None:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from petquant import (
     quadrant_of,
     regrid_nearest,
 )
-from petquant.mask import _labels_by_size
+from petquant.mask import _labels_by_size, bounding_box
 
 from conftest import (
     bfs_components,
@@ -193,3 +196,26 @@ class TestRegrid:
         assert out.dims == (4, 4, 4)
         assert out.spacing == (2.0, 2.0, 2.0)
         assert out.voxel_count == 2 * 4 * 4
+
+
+class TestCachedBox:
+    @settings(max_examples=50, deadline=None)
+    @given(bits=small_bits)
+    def test_box_is_the_bounding_box_found_once(self, bits):
+        mask = BinaryMask(bits, (1.0, 1.0, 1.0))
+        assert mask.box == bounding_box(bits)
+        assert mask.box is mask.box  # kept, not found again
+        assert mask.is_empty == (not bits.any())
+
+    def test_box_read_by_many_threads_at_once(self):
+        # the first reads race to fill the cache; each must see the one box
+        rng = np.random.default_rng(3)
+        masks = [BinaryMask(rng.random((12, 10, 8)) < 0.01, (1.0, 1.0, 1.0)) for _ in range(40)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                boxes = list(pool.map(lambda i: masks[i // 8].box, range(8 * len(masks))))
+        finally:
+            sys.setswitchinterval(old)
+        assert boxes == [bounding_box(m.bits) for m in masks for _ in range(8)]

@@ -12,6 +12,8 @@ instead of copies.
 
 Grids keep one memory layout from file to report: the read path makes no
 C-order copy, and full-grid arrays made next to a grid take its layout.
+Segmentation reads each volume as stored and never calls `read_volume`,
+which widens the whole grid to float64.
 
 Report columns are named once: a CSV's header is its row dicts' keys, and no
 class defines an `as_dict`: `dataclasses.asdict` gives a dataclass's fields.
@@ -280,3 +282,15 @@ def test_one_range_check():
         if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.isfinite"
     }
     assert finite <= {"errors.py", "volume.py"}, finite
+
+
+def test_segment_reads_volumes_as_stored():
+    # read_volume widens a whole grid to float64; segment reads the stored grid
+    # (nifti.read_stored) and widens at most an roi's box
+    tree = ast.parse((SRC / "cli.py").read_text())
+    fn = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_segment_file"
+    )
+    names = {ast.unparse(n) for n in ast.walk(fn) if isinstance(n, (ast.Name, ast.Attribute))}
+    assert "read_stored" in names
+    assert not any(name.split(".")[-1] == "read_volume" for name in names), names

@@ -279,8 +279,9 @@ def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> V
 @dataclass(frozen=True)
 class StoredVolume(_Grid):
     """A volume file as stored: its (nx, ny, nz) grid, read-only and x-fastest
-    in the stored dtype (uint8, int16 or float32) with every voxel finite, its
-    spacing and unit, and the scl slope and intercept that map it to values."""
+    in the stored dtype (uint8, int16 or float32; `read_stored` has checked
+    every voxel finite), its spacing and unit, and the scl slope and
+    intercept that map it to values."""
 
     grid: np.ndarray
     spacing: tuple[float, float, float]

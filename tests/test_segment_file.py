@@ -23,6 +23,7 @@ from petquant import (
     BinaryMask,
     IntensityUnit,
     ResponseModel,
+    VolumeDataError,
     generate_cohort,
     postprocess,
     read_mask,
@@ -244,6 +245,28 @@ class TestSegmentFile:
         code, _ = run_cli("segment", float32_file, "--out", out, "--method", method, "--roi", roi)
         assert code == 0
         assert widened == [("widen", box), ("Volume3D", box)]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--roi", "5,5,5,9,9,8"), ("--method", "contrast", "--roi", "5,5,5,9,9,8"), ("--roi", "0,0,0,99,1,1")],
+)
+def test_non_finite_voxel_reported_as_read_volume_does(tmp_path, flags):
+    # the whole stored grid is checked before the roi is placed (an out-of-grid
+    # roi included), with read_volume's message and C-order index
+    grid = np.full(DIMS, 4.0)
+    grid[3, 0, 0] = grid[0, 1, 0] = np.nan  # the x-fastest payload holds (3, 0, 0) first
+    path = tmp_path / "nan.nii"
+    _write(path, np.asfortranarray(grid), 16)
+    with pytest.raises(VolumeDataError) as expected:
+        read_volume(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("segment", path, "--out", tmp_path / "m.nii", "--json-errors", *flags)
+    assert code == 2
+    assert json.loads(err.getvalue())["message"] == str(expected.value) == (
+        "non-finite voxel value at index (0, 1, 0)"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -52,11 +52,13 @@ def _pool(dtype: str, vmax: float, pct: float) -> np.ndarray:
     if limits is None:
         f32 = np.float32
         near = f32(t)
-        cands = [
-            vmax, near, np.nextafter(near, f32(np.inf)), np.nextafter(near, f32(-np.inf)),
-            0.0, -0.0, 1e-45, -1e-45, 3e-39, np.nextafter(f32(vmax), f32(-np.inf)),
-            -3.4e38, vmax / 3,
-        ]  # fmt: skip
+        with np.errstate(over="ignore"):  # a step below -FLT_MAX is -inf, dropped below
+            cands = [
+                vmax, near, np.nextafter(near, f32(np.inf)), np.nextafter(near, f32(-np.inf)),
+                0.0, -0.0, 1e-45, -1e-45, 3e-39, np.nextafter(f32(vmax), f32(-np.inf)),
+                -3.4e38, vmax / 3,
+            ]  # fmt: skip
+        cands = [c for c in cands if np.isfinite(c)]
     else:
         lo = math.floor(t)
         cands = [vmax, lo - 1, lo, lo + 1, lo + 2, 0, limits.min, vmax - 1]

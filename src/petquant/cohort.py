@@ -32,7 +32,7 @@ import numpy as np
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
 from .errors import ManifestError, ParameterError
 from .mask import BinaryMask, Quadrant
-from .nifti import read_mask, read_volume, read_volume_box, write_mask, write_volume
+from .nifti import read_mask, read_stored, read_volume_box, write_mask, write_volume
 from .qc import (
     QcRecord,
     QcThreshold,
@@ -211,11 +211,11 @@ def export_annotation_batch(
         if pid not in by_id:
             raise ManifestError(f"patient id {pid!r} not present in the manifest")
         entry = by_id[pid]
-        vol = read_volume(entry.fu_volume)
+        vol = read_stored(entry.fu_volume)  # written back as float32: nothing to widen
         vol_path = out / f"{pid}_fu.nii"
         template_path = out / f"{pid}_mask_template.nii"
         write_volume(vol, vol_path)
-        write_mask(BinaryMask(np.zeros_like(vol.values, dtype=bool), vol.spacing), template_path)
+        write_mask(BinaryMask(np.zeros_like(vol.grid, dtype=bool), vol.spacing), template_path)
         tasks.append(
             {"patient_id": pid, "volume": vol_path.name, "mask_template": template_path.name}
         )

@@ -12,7 +12,8 @@ Two formats are supported:
 
 A bad header or sidecar field raises ``VolumeFormatError`` naming it (checked
 before the payload is opened), an unusable payload ``VolumeDataError``; the
-CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats;
+CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats,
+except that ``write_mask`` hands a NIfTI mask's chunks to the writer itself;
 ``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
 written as float32, masks as uint8 0/1.
 
@@ -26,11 +27,22 @@ Grids stay in file order: a volume or mask read here is an F-contiguous
 (x-fastest) array, as the payload is stored, so reading widens without a
 transpose and writing a grid read from a file copies without one. Indexing
 is by (x, y, z) in either layout.
+
+A NIfTI payload is not read into memory but mapped read-only, once the header
+and the file size have been checked: the stored grid is a read-only view of
+the file's pages, and a map that fails is a ``VolumeDataError``. The map
+keeps the file that was opened, so replacing the file by rename, as every
+writer here does, leaves a grid already read unchanged. A file truncated in
+place while a grid of it is still in use is another matter: touching the
+lost pages raises SIGBUS, which kills the process. Masks are written with
+holes for the zero bytes outside their foreground's span (see
+``serialize.write_bytes_atomic``).
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -150,13 +162,18 @@ def _decode_nifti(path: Path) -> tuple:
             check_real(f"{path}: bad field {name}", value, error=VolumeFormatError)
         dtype = _DTYPES[datatype]
         size = dims[0] * dims[1] * dims[2] * dtype.itemsize
-        # against the file size first: a bad header cannot make read() allocate more
+        # against the file size first: a bad header cannot make the map reach past the file
         available = max(os.fstat(fh.fileno()).st_size - offset, 0)
         if available < size:
             raise VolumeDataError(f"{path}: data section has {available} bytes, expected {size}")
-        fh.seek(offset)
-        grid = np.frombuffer(fh.read(size), dtype=dtype).reshape(dims, order="F")
-    return grid, spacing, slope or 1.0, inter, None  # slope 0 means unscaled
+        try:
+            # the map outlives the file handle; a file shorter than this length now
+            # (shrunk since fstat) cannot be mapped
+            mapped = mmap.mmap(fh.fileno(), offset + size, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:
+            raise VolumeDataError(f"{path}: data section cannot be mapped: {exc}") from exc
+    grid = np.frombuffer(mapped, dtype, dims[0] * dims[1] * dims[2], offset)
+    return grid.reshape(dims, order="F"), spacing, slope or 1.0, inter, None  # slope 0: unscaled
 
 
 def _triple(value, types: tuple) -> bool:
@@ -329,8 +346,9 @@ def read_volume_box(
     return vol.widen(box), BinaryMask(mask.bits[box], mask.spacing)
 
 
-def write_volume(vol: Volume3D, path: str | os.PathLike) -> None:
-    """Write a volume as float32. Roundtrip is bit-exact for float32 data."""
+def write_volume(vol: Volume3D | StoredVolume, path: str | os.PathLike) -> None:
+    """Write a volume's values as float32. Roundtrip is bit-exact for float32
+    data, and a float32 `StoredVolume` is written from its grid without a copy."""
     _write(Path(path), vol.values, vol.spacing, 16, vol.unit)
 
 
@@ -347,5 +365,17 @@ def read_mask(path: str | os.PathLike) -> BinaryMask:
 
 
 def write_mask(mask: BinaryMask, path: str | os.PathLike) -> None:
-    """Write a mask as a uint8 0/1 NIfTI volume (or float32 sidecar)."""
-    _write(Path(path), mask.bits, mask.spacing, 2, IntensityUnit.ARBITRARY)
+    """Write a mask as a uint8 0/1 NIfTI volume (or float32 sidecar). Of a
+    NIfTI payload only the span from the x-fastest index of the foreground
+    box's first corner to its last is written; the zero bytes around it are
+    holes, and an empty mask is a header and one hole."""
+    path = Path(path)
+    if _format(path) != ".nii":
+        _write(path, mask.bits, mask.spacing, 2, IntensityUnit.ARBITRARY)
+        return
+    header, payload = encode_nifti(mask.bits, mask.spacing, 2)  # F-ordered bits: no copy
+    lo = hi = 0
+    if mask.box is not None:
+        lo = np.ravel_multi_index([s.start for s in mask.box], mask.dims, order="F")
+        hi = np.ravel_multi_index([s.stop - 1 for s in mask.box], mask.dims, order="F") + 1
+    write_bytes_atomic(path, header, lo, payload[lo:hi], len(payload) - hi)

@@ -10,7 +10,10 @@ round(ratio·N) voxels, so the realized MTV ratio is a known rational.
 Follow-up counts are drawn before anything is written, and only the prefix
 of the growth order the largest count needs is sorted. Each noiseless volume
 and every mask is one encoded background payload with its lesion's cells set;
-the bytes are those of rasterizing and encoding the whole grid.
+the bytes are those of rasterizing and encoding the whole grid. Only the
+payload's span from the least lesion cell to the greatest is copied: a
+volume's file takes the shared background's own bytes around it, a mask's
+file has holes there.
 
 All randomness is seeded; per-patient streams derive from (seed, index) so
 parallel generation never changes the output bytes.
@@ -217,27 +220,34 @@ def generate_cohort(
     peak_act = peak_suv * suv_to_activity
     bg_act = background_suv * suv_to_activity
 
-    def patched(background: np.ndarray, count: int, value) -> np.ndarray:
-        """A copy of an x-fastest payload with the first `count` lesion cells set to `value`."""
-        data = background.copy()
-        data[cells[:count]] = value
-        return data
+    # the first `count` lesion cells lie between these payload indices
+    first, last = np.minimum.accumulate(cells), np.maximum.accumulate(cells)
+
+    def patched(background: np.ndarray, count: int, value) -> tuple:
+        """The span of an x-fastest payload from the first `count` lesion cells'
+        least index to their greatest, copied with those cells set to `value`,
+        and its bounds."""
+        lo, hi = int(first[count - 1]), int(last[count - 1]) + 1
+        span = background[lo:hi].copy()
+        span[cells[:count] - lo] = value
+        return lo, hi, span
 
     # the encoded empty mask and, without noise, the encoded background: the
-    # lesion's cells are all that set a file apart from one of these
+    # lesion's span is all that sets a file apart from one of these
     mask_header, empty = encode_nifti(np.zeros(dims, dtype=np.uint8), spacing, datatype=2)
     empty = np.frombuffer(empty, dtype=np.uint8)
-    bl_mask = patched(empty, bl_count, 1)
-    bl_volume = None  # a noisy baseline is drawn per patient
-    if noise_sd == 0:
-        vol_header, background = encode_nifti(np.full(dims, bg_act), spacing, datatype=16)
-        background = np.frombuffer(background, dtype="<f4")
-        bl_volume = (vol_header, patched(background, bl_count, peak_act))
 
-    def volume(count: int, rng: np.random.Generator) -> tuple:
-        """Header and payload of a volume whose lesion is `count` voxels."""
+    def mask(count: int) -> tuple:
+        """Chunks of a mask whose lesion is `count` voxels: holes around its span."""
+        lo, hi, span = patched(empty, count, 1)
+        return mask_header, lo, span, empty.size - hi
+
+    def volume(count: int, rng: np.random.Generator | None) -> tuple:
+        """Chunks of a volume whose lesion is `count` voxels: without noise, the
+        shared background's bytes around its span."""
         if noise_sd == 0:
-            return vol_header, patched(background, count, peak_act)
+            lo, hi, span = patched(background, count, peak_act)
+            return vol_header, background[:lo], span, background[hi:]
         values = rng.normal(0.0, noise_sd * suv_to_activity, dims)  # C order, as drawn
         flat = values.reshape(-1)  # a view
         # noise + base: addition commutes, so these are where(...) + noise's bits
@@ -245,6 +255,13 @@ def generate_cohort(
         values += bg_act
         flat[growth[:count]] = lesion
         return encode_nifti(values, spacing, datatype=16)
+
+    bl_mask = mask(bl_count)
+    bl_volume = None  # a noisy baseline is drawn per patient
+    if noise_sd == 0:
+        vol_header, background = encode_nifti(np.full(dims, bg_act), spacing, datatype=16)
+        background = np.frombuffer(background, dtype="<f4")
+        bl_volume = volume(bl_count, None)
 
     def analytic(count: int) -> dict:
         mtv = count * voxvol
@@ -262,9 +279,9 @@ def generate_cohort(
         names = [f"{pid}_bl.nii", f"{pid}_bl_mask.nii", f"{pid}_fu.nii", f"{pid}_fu_mask.nii"]
         # each file is built, written and let go before the next is built
         write_bytes_atomic(out / names[0], *(bl_volume or volume(bl_count, rng)))
-        write_bytes_atomic(out / names[1], mask_header, bl_mask)
+        write_bytes_atomic(out / names[1], *bl_mask)
         write_bytes_atomic(out / names[2], *volume(fu_count, rng))
-        write_bytes_atomic(out / names[3], mask_header, patched(empty, fu_count, 1))
+        write_bytes_atomic(out / names[3], *mask(fu_count))
         entry = CohortEntry(pid, *map(Path, names), DEFAULT_DOSE_MBQ, DEFAULT_WEIGHT_KG)
         return entry, {
             "patient_id": pid,

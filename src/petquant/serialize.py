@@ -7,12 +7,17 @@ cannot format floats, hence the small recursive emitter.
 ``write_bytes_atomic`` is the package's one file writer (reports, manifests,
 volumes): a temp file in the target's directory, renamed over the target.
 Temp names carry the process and thread id, so concurrent writers to one
-target never share a temp file; the last rename wins.
+target never share a temp file; the last rename wins. Its chunks are written
+back to back; an integer chunk stands for that many zero bytes, which the
+writer skips over, so they become a hole in the file rather than written
+blocks (a file ending in one is extended to its full size). A file read back
+has the same bytes either way.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from pathlib import Path
@@ -83,17 +88,24 @@ def dumps_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_bytes_atomic(path: str | os.PathLike, *chunks: bytes) -> None:
+def write_bytes_atomic(path: str | os.PathLike, *chunks: bytes | int) -> None:
     p = Path(path)
     # "x" mode: a leftover temp file is an error, never silently shared
     tmp = p.with_name(f"{p.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:
-                fh.write(chunk)
+                if isinstance(chunk, numbers.Integral):  # numpy's integers too
+                    fh.seek(chunk, os.SEEK_CUR)  # a hole, read back as zero bytes
+                else:
+                    fh.write(chunk)
+            if chunks and isinstance(chunks[-1], numbers.Integral):
+                fh.truncate()  # the size a trailing hole gives the file
         os.replace(tmp, p)
-    except OSError as exc:
+    except BaseException as exc:  # an interrupt or a bad chunk too: no temp file is left
         tmp.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
         raise OSError(f"failed writing {p}: {exc}") from exc
 
 

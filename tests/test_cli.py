@@ -13,6 +13,7 @@ from petquant import (
     Volume3D,
     generate,
     generate_cohort,
+    read_mask,
     write_mask,
     write_volume,
 )
@@ -301,6 +302,16 @@ class TestSegment:
         )
         assert code == 0
         assert json.loads(stdout)["method"] == "pct_suvmax"
+
+    def test_mask_written_over_its_own_volume(self, lesion_files, tmp_path, capsys):
+        # the volume is mapped while its path is replaced by the mask
+        out, truth = lesion_files
+        path = tmp_path / "vol.nii"
+        path.write_bytes((out / "vol.nii").read_bytes())
+        code, _, _ = run(capsys, "segment", str(path), "--out", str(path))
+        assert code == 0
+        assert int(read_mask(path).bits.sum()) == truth.voxel_count
+        assert list(tmp_path.iterdir()) == [path]
 
     # DIMS is 24 x 24 x 16; negative bounds used to wrap (slice semantics),
     # overlong ones were clipped, and a config list skipped the empty check
@@ -691,6 +702,16 @@ class TestErrorPaths:
         bad.write_bytes(b"\x00" * 400)
         code, _, err = run(capsys, "quantify", str(bad), str(bad))
         assert code == 2
+
+    def test_unmappable_volume_exits_2(self, lesion_files, monkeypatch, capsys):
+        def failing_mmap(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(nifti.mmap, "mmap", failing_mmap)
+        out, _ = lesion_files
+        code, _, err = run(capsys, "quantify", str(out / "vol.nii"), str(out / "mask.nii"))
+        assert code == 2
+        assert f"{out / 'mask.nii'}: data section cannot be mapped" in err
 
     def test_json_errors_flag(self, tmp_path, capsys):
         bad = tmp_path / "bad.nii"

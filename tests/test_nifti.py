@@ -1,4 +1,6 @@
 import json
+import mmap
+import os
 import struct
 
 import numpy as np
@@ -20,6 +22,7 @@ from petquant import (
     write_volume,
 )
 from petquant.nifti import HEADER_SIZE, VOX_OFFSET, encode_nifti
+from petquant.serialize import write_bytes_atomic
 
 
 def make_vol(values, spacing=(4.0, 4.0, 4.0), unit=IntensityUnit.ARBITRARY):
@@ -393,3 +396,100 @@ class TestFuzz:
         meta[field] = value
         (tmp / "v.json").write_text(json.dumps(meta))
         _read_both(tmp / "v.json")
+
+
+class TestMappedRead:
+    """A NIfTI payload is a read-only map of the file, not a copy."""
+
+    @pytest.fixture
+    def vol_path(self, tmp_path, rng):
+        path = tmp_path / "v.nii"
+        write_volume(make_vol(rng.normal(0, 10, (6, 5, 4)).astype(np.float32)), path)
+        return path
+
+    def test_mapped_grid_is_read_only(self, vol_path):
+        stored = nifti.read_stored(vol_path)
+        with pytest.raises(ValueError, match="read-only"):
+            stored.grid[0, 0, 0] = 1.0
+
+    def test_grid_outlives_a_replaced_file(self, vol_path):
+        stored = nifti.read_stored(vol_path)
+        before = stored.grid.copy()
+        write_bytes_atomic(vol_path, *encode_nifti(np.zeros((6, 5, 4)), (4.0, 4.0, 4.0), 16))
+        np.testing.assert_array_equal(stored.grid, before)
+        assert not read_volume(vol_path).values.any()
+
+    def test_file_shrunk_before_the_map_rejected(self, vol_path, monkeypatch):
+        # the size check passed; the file loses its last voxel before it is mapped
+        real_mmap = mmap.mmap
+
+        def shrink_then_map(fileno, length, **kwargs):
+            os.truncate(fileno, length - 4)
+            return real_mmap(fileno, length, **kwargs)
+
+        monkeypatch.setattr(nifti.mmap, "mmap", shrink_then_map)
+        with pytest.raises(VolumeDataError, match=f"{vol_path.name}: data section cannot be mapped"):
+            nifti.read_stored(vol_path)
+
+    def test_map_failure_is_a_volume_data_error(self, vol_path, monkeypatch):
+        def failing_mmap(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(nifti.mmap, "mmap", failing_mmap)
+        for reader in (read_volume, read_mask, nifti.read_stored):
+            with pytest.raises(VolumeDataError, match="Cannot allocate memory") as err:
+                reader(vol_path)
+            assert str(vol_path) in str(err.value)
+
+
+def _dense_mask_file(bits, spacing) -> bytes:
+    """The bytes of a mask file as the dense encoder gives them."""
+    header, payload = encode_nifti(np.asarray(bits, dtype=np.uint8), spacing, 2)
+    return header + bytes(payload)
+
+
+@st.composite
+def _masks(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=3, max_size=3)))
+    kind = draw(st.sampled_from(["box", "empty", "full"]))
+    bits = np.zeros(dims, dtype=bool, order=draw(st.sampled_from("CF")))
+    if kind == "full":
+        bits[...] = True
+    elif kind == "box":
+        box = []
+        for n in dims:
+            lo = draw(st.integers(0, n - 1))
+            box.append(slice(lo, draw(st.integers(lo + 1, n))))
+        seed = draw(st.integers(0, 2**32 - 1))
+        inside = np.random.default_rng(seed).random(bits[tuple(box)].shape) < 0.5
+        inside.flat[0] = inside.flat[-1] = True  # the box is the foreground's
+        bits[tuple(box)] = inside
+    return bits
+
+
+class TestMaskHoles:
+    """Masks are written as their foreground's span between holes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=_masks())
+    def test_file_equals_the_dense_encoding(self, tmp_path_factory, bits):
+        path = tmp_path_factory.mktemp("holes") / "m.nii"
+        write_mask(BinaryMask(bits, (4.0, 3.0, 2.5)), path)
+        assert path.read_bytes() == _dense_mask_file(bits, (4.0, 3.0, 2.5))
+
+    @pytest.mark.parametrize("dims", [(144, 144, 66), (3, 4, 5)])
+    def test_empty_mask_is_a_header_and_one_hole(self, tmp_path, monkeypatch, dims):
+        written = []
+
+        def recording_writer(path, *chunks):
+            written.append(chunks)
+            write_bytes_atomic(path, *chunks)
+
+        monkeypatch.setattr(nifti, "write_bytes_atomic", recording_writer)
+        bits = np.zeros(dims, dtype=bool, order="F")
+        write_mask(BinaryMask(bits, (4.0, 4.0, 4.0)), tmp_path / "m.nii")
+        (chunks,) = written
+        data = [c for c in chunks if not isinstance(c, (int, np.integer))]
+        assert [len(c) for c in data] == [VOX_OFFSET, 0]
+        assert sum(c for c in chunks if isinstance(c, (int, np.integer))) == bits.size
+        assert (tmp_path / "m.nii").read_bytes() == _dense_mask_file(bits, (4.0, 4.0, 4.0))

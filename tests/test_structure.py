@@ -15,6 +15,11 @@ C-order copy, and full-grid arrays made next to a grid take its layout.
 Segmentation reads each volume as stored and never calls `read_volume`,
 which widens the whole grid to float64.
 
+Every file is written by `serialize.write_bytes_atomic`, holes included: no
+other function opens a file for writing, truncates one or maps one writable,
+and the writer takes no flag. Files are only ever read through a map or a
+read-mode `open`.
+
 Report columns are named once: a CSV's header is its row dicts' keys, and no
 class defines an `as_dict`: `dataclasses.asdict` gives a dataclass's fields.
 
@@ -294,3 +299,55 @@ def test_segment_reads_volumes_as_stored():
     names = {ast.unparse(n) for n in ast.walk(fn) if isinstance(n, (ast.Name, ast.Attribute))}
     assert "read_stored" in names
     assert not any(name.split(".")[-1] == "read_volume" for name in names), names
+
+
+# besides an `open` for writing: the calls that write or resize a file by name or descriptor
+_WRITE_CALLS = {"tofile", "write_bytes", "write_text", "truncate", "ftruncate", "pwrite", "sendfile"}
+
+
+def _writes_files(fn: ast.FunctionDef) -> bool:
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+            if any(not isinstance(m, ast.Constant) or set(m.value) & set("wxa+") for m in modes):
+                return True
+        elif name.split(".")[-1] in _WRITE_CALLS:
+            return True
+        elif name.split(".")[-1] == "mmap":
+            access = [k.value for k in node.keywords if k.arg == "access"]
+            if [ast.unparse(a) for a in access] != ["mmap.ACCESS_READ"]:
+                return True
+    return False
+
+
+def test_one_file_writer():
+    # write_mask's holes, the phantom's background slices and the annotation
+    # export all go through the one atomic writer, not a sparse-file fork of it
+    owners = [
+        where.split(":")[0] + ":" + node.name
+        for where, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and _writes_files(node)
+    ]
+    assert owners == ["serialize.py:write_bytes_atomic"], owners
+    (writer,) = [n for _, n in _nodes("serialize.py") if getattr(n, "name", "") == "write_bytes_atomic"]
+    args = writer.args
+    assert [a.arg for a in args.args] == ["path"] and args.vararg.arg == "chunks", ast.unparse(args)
+    assert not (args.kwonlyargs or args.defaults or args.kwarg), ast.unparse(args)
+    for fn in ("write_mask", "generate_cohort", "export_annotation_batch"):
+        (node,) = [n for _, n in _nodes() if isinstance(n, ast.FunctionDef) and n.name == fn]
+        calls = {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+        assert calls & {"write_bytes_atomic", "write_mask", "write_volume"}, (fn, calls)
+
+
+def test_no_environment_switches():
+    # the only environment variable is PETQUANT_THREADS, the --threads default
+    hits = [
+        (where, ast.unparse(node))
+        for where, node in _nodes()
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.environ", "os.getenv")
+    ]
+    assert [w.split(":")[0] for w, _ in hits] == ["cli.py"], hits
+    assert "PETQUANT_THREADS" in (SRC / "cli.py").read_text()

@@ -8,8 +8,9 @@ dose_MBq and weight_kg are both given the volumes are read as activity
 concentration and the masked voxels converted to SUV, so the pair must make an
 `AcquisitionInfo`; when both are empty they are taken as SUV already.
 `read_table` is the one CSV reader (manifests, `compare --batch` pairs),
-`extract_file` the one reader of biomarkers from a volume file: it checks the
-whole stored grid but widens only the mask's bounding box to float64.
+`extract_file` the one reader of biomarkers from a volume file: it reads the
+volume with `nifti.read_stored`, as `read_mask` reads a mask, so the whole
+stored grid is checked but only the mask's bounding box is widened to float64.
 
 Each report row is one dict whose keys are its column names: `_write_table`
 takes a CSV's header from the first row, and the JSON reports are dicts in
@@ -31,8 +32,8 @@ import numpy as np
 
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
 from .errors import ManifestError, ParameterError
-from .mask import BinaryMask, Quadrant
-from .nifti import read_mask, read_stored, read_volume_box, write_mask, write_volume
+from .mask import BinaryMask, Quadrant, require_same_geometry
+from .nifti import read_mask, read_stored, write_mask, write_volume
 from .qc import (
     QcRecord,
     QcThreshold,
@@ -139,9 +140,12 @@ def extract_file(path: str | Path, mask: BinaryMask, acq: AcquisitionInfo | None
     concentration and the masked ones converted with `acq`, or, with no
     acquisition info, taken as SUV already. The result, errors included, is
     `extract(read_volume(path, unit), mask, acq)`'s; only the mask's bounding
-    box is widened to float64."""
+    box (a one-voxel corner when the mask is empty) is widened to float64."""
     unit = IntensityUnit.SUV if acq is None else IntensityUnit.ACTIVITY_KBQ_PER_ML
-    return extract(*read_volume_box(path, mask, unit), acq)
+    vol = read_stored(path, unit)
+    require_same_geometry(vol, mask)
+    box = mask.box or (slice(0, 1),) * 3
+    return extract(vol.widen(box), BinaryMask(mask.bits[box], mask.spacing), acq)
 
 
 @dataclass(frozen=True)

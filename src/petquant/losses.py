@@ -180,6 +180,7 @@ def gradient_check(
         raise ParameterError(
             f"need trials >= 1 and every shape entry >= 1, got trials={trials}, shape={shape}"
         )
+    check_real("seed", seed, ge=0)
     rng = np.random.default_rng(seed)
     rels = []
     for _ in range(trials):

@@ -17,11 +17,10 @@ except that ``write_mask`` hands a NIfTI mask's chunks to the writer itself;
 ``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
 written as float32, masks as uint8 0/1.
 
-``read_volume`` promotes the whole grid to float64. The pipeline's readers
-do not: ``read_stored``, the segmentation reader, checks the whole grid in
-its stored dtype and returns it as a ``StoredVolume``, which widens to
-float64 only the box it is asked for; ``read_volume_box``, the
-quantification reader, widens only a mask's bounding box.
+``read_volume`` promotes the whole grid to float64. Every pipeline read goes
+through ``read_stored`` instead: it checks the whole grid in its stored dtype
+and returns it as a ``StoredVolume``, which widens to float64 only the box it
+is asked for. ``read_mask`` is ``read_stored``'s values compared with zero.
 
 Grids stay in file order: a volume or mask read here is an F-contiguous
 (x-fastest) array, as the payload is stored, so reading widens without a
@@ -51,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError, check_real
-from .mask import BinaryMask, require_same_geometry
+from .mask import BinaryMask
 from .serialize import write_bytes_atomic
 from .volume import IntensityUnit, Volume3D, _Grid, check_finite, check_grid
 
@@ -333,19 +332,6 @@ def read_stored(path: str | os.PathLike, unit: IntensityUnit | None = None) -> S
     return StoredVolume(grid, spacing, unit, slope, inter)
 
 
-def read_volume_box(
-    path: str | os.PathLike, mask: BinaryMask, unit: IntensityUnit | None = None
-) -> tuple[Volume3D, BinaryMask]:
-    """The volume at `path` and `mask`, both cut to the mask's bounding box (a
-    one-voxel corner when the mask is empty), for `biomarkers.extract`. The
-    whole grid gets `read_stored`'s checks, then `extract`'s geometry check;
-    only the box is widened to float64."""
-    vol = read_stored(path, unit)
-    require_same_geometry(vol, mask)
-    box = mask.box or (slice(0, 1),) * 3
-    return vol.widen(box), BinaryMask(mask.bits[box], mask.spacing)
-
-
 def write_volume(vol: Volume3D | StoredVolume, path: str | os.PathLike) -> None:
     """Write a volume's values as float32. Roundtrip is bit-exact for float32
     data, and a float32 `StoredVolume` is written from its grid without a copy."""
@@ -353,15 +339,12 @@ def write_volume(vol: Volume3D | StoredVolume, path: str | os.PathLike) -> None:
 
 
 def read_mask(path: str | os.PathLike) -> BinaryMask:
-    """Read an 8-bit (or float) label volume; nonzero voxels are foreground."""
-    grid, spacing, slope, inter, _ = _decode(Path(path))
-    if grid.dtype.kind in "iu" and slope == 1.0 and inter == 0.0:
-        # unscaled integer labels: no float copy, nothing non-finite to check
-        bits = grid != 0  # the file's x-fastest layout, like grid
-        bits.flags.writeable = False
-        return BinaryMask(bits, spacing)
-    vol = _to_volume(grid, spacing, slope, inter, IntensityUnit.ARBITRARY)  # checks finiteness
-    return BinaryMask(vol.values != 0.0, vol.spacing)
+    """Read a label volume with `read_stored`'s checks; nonzero voxels are
+    foreground. An unscaled grid is compared as stored, a scaled one widened."""
+    stored = read_stored(path)
+    bits = stored.values != 0  # the file's x-fastest layout, like the grid
+    bits.flags.writeable = False
+    return BinaryMask(bits, stored.spacing)
 
 
 def write_mask(mask: BinaryMask, path: str | os.PathLike) -> None:

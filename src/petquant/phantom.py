@@ -65,6 +65,7 @@ class LesionSpec:
         check_real("radius_mm", self.radius_mm, gt=0, error=LesionSpecError)
         check_real("background_suv", self.background_suv, ge=0, error=LesionSpecError)
         check_real("noise_sd", self.noise_sd, ge=0, error=LesionSpecError)
+        check_real("seed", self.seed, ge=0, error=LesionSpecError)
         # background_suv is finite and >= 0 here, so this also makes peak_suv finite and > 0
         diff = self.peak_suv - self.background_suv
         check_real("peak_suv - background_suv", diff, gt=0, error=LesionSpecError)
@@ -186,10 +187,12 @@ def generate_cohort(
     Volumes are stored as activity concentration (kBq/mL) with matching
     dose/weight columns, so the quantification pipeline exercises the SUV
     conversion. Follow-up lesions hit round(ratio·N_bl) voxels exactly.
-    The baseline lesion follows LesionSpec's rules, and 1 <= n <= MAX_COHORT.
+    The baseline lesion follows LesionSpec's rules, 1 <= n <= MAX_COHORT and
+    seed >= 0.
     Returns the manifest path.
     """
     check_real("n", n, ge=1, le=MAX_COHORT)
+    check_real("seed", seed, ge=0)
     center = tuple((d - 1) / 2.0 for d in dims)
     lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd)
     _check_fits(lesion.center, lesion.radius_mm, dims, spacing)

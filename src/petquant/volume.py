@@ -60,8 +60,9 @@ def check_grid(dims, spacing, names=("dims", "spacing")) -> tuple[float, float, 
 
 def check_finite(grid: np.ndarray) -> None:
     """The one non-finite voxel check, in `grid`'s own dtype: VolumeDataError
-    names the first bad (x, y, z) in C index order, whatever the layout."""
-    if not np.isfinite(grid).all():
+    names the first bad (x, y, z) in C index order, whatever the layout. An
+    integer grid cannot hold NaN or infinity and is not scanned."""
+    if grid.dtype.kind not in "iu" and not np.isfinite(grid).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(grid))[0])
         raise VolumeDataError(f"non-finite voxel value at index {idx}")
 

@@ -645,6 +645,8 @@ class TestPipelineCommands:
             (("--tolerance", "-1"), "usage error"),
             # used to print numpy overflow warnings, then fail as a check
             (("--trials", "2", "--alpha", "1e308", "--beta", "1e308"), "validation error"),
+            # used to reach numpy's seeding and exit 1 with a traceback
+            (("--seed", "-1"), "validation error"),
         ],
     )
     def test_loss_check_bad_flag_exits_1(self, tmp_path, capsys, argv, kind):
@@ -862,6 +864,30 @@ BAD_VALUES = [
 ]
 # BAD_VALUES comes last so the earlier cases keep their ids
 BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES
+
+
+# a negative seed used to reach numpy's seeding and exit 1 with a traceback,
+# --json-errors or not; the lesion's seed only seeds its noise
+NEGATIVE_SEEDS = {
+    "cohort": {"cohort": {**_SMALL, "seed": -1}},
+    "lesion": {"lesion": {**_LESION, "noise_sd": 0.5, "seed": -5}},
+}
+
+
+@pytest.mark.parametrize("kind", NEGATIVE_SEEDS)
+def test_phantom_negative_seed_exits_1(tmp_path, capsys, kind):
+    spec = NEGATIVE_SEEDS[kind]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "phantom", "--spec", str(path), "--out", str(out), "--json-errors")
+    assert (code, stdout) == (1, "")
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "validation error"
+    seed = spec[kind]["seed"]
+    assert payload["message"] == f"{path}: seed must be finite and >= 0, got {seed}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

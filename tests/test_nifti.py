@@ -306,6 +306,51 @@ class TestScaling:
         np.testing.assert_array_equal(back.values, np.arange(8, dtype=float).reshape(2, 2, 2))
 
 
+def _label_file(tmp_path, kind: str, grid: np.ndarray):
+    """`grid` stored as `kind`: a uint8, int16 or float32 NIfTI, a float32 NIfTI
+    scaled by 0.5·v - 1, or a float32 sidecar."""
+    if kind == "sidecar":
+        path = tmp_path / "m.json"
+        raw = tmp_path / "m.raw"
+        write_volume(make_vol(np.zeros(grid.shape)), path)
+        raw.write_bytes(grid.astype("<f4").tobytes(order="F"))  # NaN included
+        return path
+    datatype = {"uint8": 2, "int16": 4}.get(kind, 16)
+    path = tmp_path / "m.nii"
+    path.write_bytes(b"".join(encode_nifti(grid, (4.0, 3.0, 2.0), datatype)))
+    if kind == "scaled":
+        patch_header(path, 112, "<f", 0.5)  # scl_slope
+        patch_header(path, 116, "<f", -1.0)  # scl_inter: a stored 2 is the value 0
+    return path
+
+
+class TestReaderParity:
+    """`read_mask` is `read_volume`'s values compared with zero, errors included."""
+
+    @pytest.mark.parametrize("kind", ["uint8", "int16", "float32", "scaled", "sidecar"])
+    def test_bits_are_nonzero_values(self, tmp_path, kind):
+        grid = np.arange(60).reshape(3, 4, 5) % 7
+        if kind != "uint8":
+            grid = grid - 2  # negative labels too
+        path = _label_file(tmp_path, kind, grid)
+        bits = read_mask(path).bits
+        np.testing.assert_array_equal(bits, read_volume(path).values != 0)
+        # the scl map moves the zeros: the stored grid is not what is compared
+        assert np.array_equal(bits, grid != 0) == (kind != "scaled")
+
+    @pytest.mark.parametrize("kind", ["float32", "scaled", "sidecar"])
+    def test_nan_gives_the_same_error(self, tmp_path, kind):
+        grid = np.ones((3, 4, 5), dtype=np.float32)
+        grid[2, 1, 3] = grid[0, 3, 4] = np.nan  # (2, 1, 3) is first in file order
+        path = _label_file(tmp_path, kind, grid)
+        errors = []
+        for reader in (read_volume, read_mask):
+            with pytest.raises(VolumeDataError) as err:
+                reader(path)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == "non-finite voxel value at index (0, 3, 4)"
+
+
 def _json_values():
     scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     return st.recursive(
@@ -317,8 +362,8 @@ def _json_values():
 
 
 def _read_both(path) -> None:
-    """Either reader may only fail with the two volume-file errors."""
-    for reader in (read_volume, read_mask):
+    """Every reader may only fail with the two volume-file errors."""
+    for reader in (read_volume, read_mask, nifti.read_stored):
         try:
             reader(path)
         except (VolumeFormatError, VolumeDataError):

@@ -121,6 +121,8 @@ class TestGenerate:
             uniform_spec(radius_mm=-1.0)
         with pytest.raises(LesionSpecError):
             uniform_spec(profile="square")
+        with pytest.raises(LesionSpecError, match="seed"):
+            uniform_spec(seed=-5)  # checked even without noise, where it is unused
 
 
 def _hash_dir(path: Path) -> dict:

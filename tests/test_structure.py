@@ -6,9 +6,14 @@ whose fields `cohort.MANIFEST_COLUMNS` lists), one CSV table reader
 (`cohort.read_table`), one MTV ratio (`biomarkers.delta`), one SUV scale
 formula (`volume.AcquisitionInfo.suv_scale`), one JSON decoder in the CLI
 (`cli._read_json`), one voxel-volume formula (`volume.voxel_volume_cm3`), one
-volume-file suffix dispatch (`nifti._format`), one NIfTI header encoder and
-one foreground bounding box (`mask.bounding_box`); new call sites use those
-instead of copies.
+volume-file suffix dispatch (`nifti._format`), one NIfTI header encoder, one
+foreground bounding box (`mask.bounding_box`) and one pipeline volume reader
+(`nifti.read_stored`, which `read_mask` and `cohort.extract_file` go through;
+only it and `read_volume`, the public whole-grid reader, call `nifti._decode`);
+new call sites use those instead of copies.
+
+The benchmark's traced run wraps functions by name (`perfbench/replay.py`'s
+`LAYERS`), so each name it lists must exist.
 
 Grids keep one memory layout from file to report: the read path makes no
 C-order copy, and full-grid arrays made next to a grid take its layout.
@@ -28,12 +33,14 @@ refuses NaN and infinity; no module writes its own comparison and message.
 """
 
 import ast
+import importlib
 from dataclasses import fields
 from pathlib import Path
 
 from petquant import cohort
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "petquant"
+REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
 
 
 def _nodes(files: str = "*.py"):
@@ -287,6 +294,43 @@ def test_one_range_check():
         if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.isfinite"
     }
     assert finite <= {"errors.py", "volume.py"}, finite
+
+
+def test_one_volume_reader():
+    # read_mask and cohort.extract_file decode through read_stored, not a fork of it
+    callers = sorted(
+        node.name
+        for _, node in _nodes("nifti.py")
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_decode" for n in ast.walk(node))
+    )
+    assert callers == ["read_stored", "read_volume"], callers
+    assert len(_calls("_decode")) == 2, _calls("_decode")
+    names = {"read_volume_box"}
+    hits = [
+        where
+        for where, node in _nodes()
+        if {getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)} & names
+    ]
+    assert hits == [], hits
+
+
+def test_benchmark_layers_exist():
+    # the traced benchmark run looks each layer up by name: a renamed or deleted
+    # function would stop it with an AttributeError. replay.py is parsed, not imported
+    tree = ast.parse(REPLAY.read_text(), str(REPLAY))
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"
+    ]
+    missing = []
+    for key, spec in zip(layers.keys, layers.values):
+        module, attr = ast.unparse(spec.elts[0]), ast.literal_eval(spec.elts[1])
+        if not hasattr(importlib.import_module(f"petquant.{module}"), attr):
+            missing.append(ast.literal_eval(key))
+    assert layers.keys
+    assert missing == [], missing
 
 
 def test_segment_reads_volumes_as_stored():

@@ -206,6 +206,7 @@ def _decode_sidecar(path: Path) -> tuple:
     count = dims[0] * dims[1] * dims[2]
     if flat.size != count:
         raise VolumeDataError(f"{path}: data has {flat.size} voxels, dims declare {count}")
+    flat.flags.writeable = False  # as a mapped NIfTI grid: nothing may change it once checked
     return flat.reshape(dims, order="F"), spacing, 1.0, 0.0, unit
 
 

@@ -453,9 +453,12 @@ class TestMappedRead:
         return path
 
     def test_mapped_grid_is_read_only(self, vol_path):
-        stored = nifti.read_stored(vol_path)
-        with pytest.raises(ValueError, match="read-only"):
-            stored.grid[0, 0, 0] = 1.0
+        # a sidecar's grid too: it used to be writable after its finite check
+        write_volume(read_volume(vol_path), vol_path.with_suffix(".json"))
+        for path in (vol_path, vol_path.with_suffix(".json")):
+            stored = nifti.read_stored(path)
+            with pytest.raises(ValueError, match="read-only"):
+                stored.grid[0, 0, 0] = 1.0
 
     def test_grid_outlives_a_replaced_file(self, vol_path):
         stored = nifti.read_stored(vol_path)

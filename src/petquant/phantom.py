@@ -187,14 +187,13 @@ def generate_cohort(
     Volumes are stored as activity concentration (kBq/mL) with matching
     dose/weight columns, so the quantification pipeline exercises the SUV
     conversion. Follow-up lesions hit round(ratio·N_bl) voxels exactly.
-    The baseline lesion follows LesionSpec's rules, 1 <= n <= MAX_COHORT and
-    seed >= 0.
+    The baseline lesion and the seed follow LesionSpec's rules, and
+    1 <= n <= MAX_COHORT.
     Returns the manifest path.
     """
     check_real("n", n, ge=1, le=MAX_COHORT)
-    check_real("seed", seed, ge=0)
     center = tuple((d - 1) / 2.0 for d in dims)
-    lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd)
+    lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd, seed)
     _check_fits(lesion.center, lesion.radius_mm, dims, spacing)
     d = _distance_mm_grid(dims, spacing, lesion.center).ravel()
     bl_count = int(np.count_nonzero(d <= lesion.radius_mm))

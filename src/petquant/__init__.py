@@ -9,9 +9,9 @@ and a synthetic phantom generator with analytic ground truth.
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
 from .cohort import (
     CohortEntry,
+    analyse_cohort,
     export_annotation_batch,
     load_manifest,
-    quantify_cohort,
     run_qc,
     run_report,
 )
@@ -111,6 +111,7 @@ __all__ = [
     "Volume3D",
     "VolumeDataError",
     "VolumeFormatError",
+    "analyse_cohort",
     "bce_loss",
     "boundary_voxels",
     "boxplot_summary",
@@ -138,7 +139,6 @@ __all__ = [
     "pearson",
     "postprocess",
     "quadrant_of",
-    "quantify_cohort",
     "read_mask",
     "read_volume",
     "regrid_nearest",

@@ -12,9 +12,15 @@ concentration and the masked voxels converted to SUV, so the pair must make an
 volume with `nifti.read_stored`, as `read_mask` reads a mask, so the whole
 stored grid is checked but only the mask's bounding box is widened to float64.
 
-Each report row is one dict whose keys are its column names: `_write_table`
-takes a CSV's header from the first row, and the JSON reports are dicts in
-key order. README "Report files" lists every file's columns.
+`analyse_cohort` is the one analysis pass: it reads and quantifies every
+patient once, fixes the QC threshold and builds every `QcRecord`. `run_qc` and
+`run_report` are writers over its result that analyse, then write: every
+file's text, `stats.json` included, is computed before `out_dir` is made, so a
+run that fails leaves no file.
+
+Each report row is one dict whose keys are its column names: `_csv` takes a
+CSV's header from the first row, and the JSON reports are dicts in key order.
+README "Report files" lists every file's columns.
 
 Patient-level work runs through `parallel_map`; results are reduced in
 manifest order, so reports are byte-identical for any thread count.
@@ -43,7 +49,7 @@ from .qc import (
     select_extreme_outliers,
 )
 from .serialize import dumps_csv, dumps_json, write_text_atomic
-from .stats import boxplot_summary, paired_ttest
+from .stats import boxplot_summary, paired_change
 from .volume import AcquisitionInfo, IntensityUnit
 
 
@@ -132,7 +138,7 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
 
 def write_manifest(path: Path, entries: list[CohortEntry]) -> None:
     """A manifest of `entries`, one row of their fields each, paths as given."""
-    _write_table(path, [asdict(e) for e in entries])
+    write_text_atomic(path, _csv([asdict(e) for e in entries]))
 
 
 def extract_file(path: str | Path, mask: BinaryMask, acq: AcquisitionInfo | None) -> BiomarkerSet:
@@ -171,35 +177,53 @@ def _quantify_one(entry: CohortEntry) -> PatientQuant:
     return PatientQuant(entry, bl_bio, fu_bio, delta(bl_bio, fu_bio), bl_q, fu_q)
 
 
-def quantify_cohort(entries: list[CohortEntry], threads: int = 1) -> list[PatientQuant]:
+@dataclass(frozen=True)
+class CohortAnalysis:
+    """One pass over a cohort: each patient's quantities and QC record, in
+    manifest order, and the threshold the records were judged against."""
+
+    quants: list[PatientQuant]
+    threshold: QcThreshold
+    records: list[QcRecord]
+
+
+def analyse_cohort(
+    entries: list[CohortEntry], threshold: QcThreshold | None = None, threads: int = 1
+) -> CohortAnalysis:
+    """Quantify every patient once, then apply both QC steps to each pair.
+
+    A patient with an empty mask (on the baseline grid) is refused by name
+    before any threshold is derived; with no threshold given, one is derived
+    from the finite MTV ratios of the cohort.
+    """
     if not entries:
         raise ManifestError("cohort has no patients")
-    return parallel_map(_quantify_one, entries, threads)
-
-
-def _write_table(path: Path, rows: list[dict]) -> None:
-    """A CSV report of one dict per row; the first row's keys are the header."""
-    write_text_atomic(path, dumps_csv(list(rows[0]), [list(row.values()) for row in rows]))
-
-
-def _qc_records(
-    quants: list[PatientQuant], thr: QcThreshold | None
-) -> tuple[QcThreshold, list[QcRecord]]:
-    """Both QC steps for every patient, in manifest order.
-
-    With no threshold, one is derived from the finite MTV ratios of the cohort.
-    """
-    if thr is None:
-        thr = derive_threshold(
+    quants = parallel_map(_quantify_one, entries, threads)
+    for q in quants:
+        if q.bl_quadrant is None or q.fu_quadrant is None:
+            raise ManifestError(f"patient {q.entry.patient_id}: empty mask, cannot run QC")
+    if threshold is None:
+        threshold = derive_threshold(
             q.change.mtv_ratio for q in quants if q.change.mtv_ratio is not None
         )
-    records = []
-    for q in quants:
-        pid = q.entry.patient_id
-        if q.bl_quadrant is None or q.fu_quadrant is None:
-            raise ManifestError(f"patient {pid}: empty mask, cannot run QC")
-        records.append(build_record(pid, q.bl_quadrant, q.fu_quadrant, q.change, thr))
-    return thr, records
+    records = [
+        build_record(q.entry.patient_id, q.bl_quadrant, q.fu_quadrant, q.change, threshold)
+        for q in quants
+    ]
+    return CohortAnalysis(quants, threshold, records)
+
+
+def _csv(rows: list[dict]) -> str:
+    """A CSV report of one dict per row; the first row's keys are the header."""
+    return dumps_csv(list(rows[0]), [list(row.values()) for row in rows])
+
+
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Make `out` and write each named text into it. Called only once every
+    text is computed, so a run that fails leaves no file and no directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        write_text_atomic(out / name, text)
 
 
 def export_annotation_batch(
@@ -240,12 +264,9 @@ def run_qc(
     With no explicit threshold, one is derived from the finite MTV ratios of
     this cohort. Writes qc_report.csv and qc_summary.json in out_dir.
     """
-    quants = quantify_cohort(entries, threads)
-    threshold, records = _qc_records(quants, threshold)
+    analysis = analyse_cohort(entries, threshold, threads)
+    records = analysis.records
     extreme = select_extreme_outliers(records, select_extreme)
-    out = Path(out_dir)  # made once the inputs have loaded, so a failure leaves none
-    out.mkdir(parents=True, exist_ok=True)
-
     rows = [
         {
             "patient_id": r.patient_id,
@@ -258,18 +279,18 @@ def run_qc(
             "outlier_score": r.outlier_score,
             "flagged": not r.validated,
         }
-        for q, r in zip(quants, records)
+        for q, r in zip(analysis.quants, records)
     ]
-    _write_table(out / "qc_report.csv", rows)
     summary = {
-        "threshold": threshold.value,
-        "derivation": threshold.derivation.value,
+        "threshold": analysis.threshold.value,
+        "derivation": analysis.threshold.derivation.value,
         "cohort_size": len(records),
         "n_outliers": sum(1 for r in records if not r.ratio_ok),
         "n_quadrant_mismatch": sum(1 for r in records if not r.quadrant_ok),
         "extreme_ids": extreme,
     }
-    write_text_atomic(out / "qc_summary.json", dumps_json(summary))
+    out = Path(out_dir)
+    _write_files(out, {"qc_report.csv": _csv(rows), "qc_summary.json": dumps_json(summary)})
     if extreme:
         export_annotation_batch(extreme, entries, out / "annotation_batch")
     return summary
@@ -289,27 +310,18 @@ def run_report(
 ) -> dict:
     """Emit biomarker_table.csv, deltas.csv, boxplot.json, qc_scatter.csv and
     stats.json for a cohort. Returns the stats payload."""
-    quants = quantify_cohort(entries, threads)
-    out = Path(out_dir)  # made once the inputs have loaded, so a failure leaves none
-    out.mkdir(parents=True, exist_ok=True)
-
-    _write_table(
-        out / "biomarker_table.csv",
-        [
-            {"patient_id": q.entry.patient_id, "timepoint": timepoint}
-            | {k: getattr(bio, k) for k in _BIOMARKERS}
-            for q in quants
-            for timepoint, bio in (("baseline", q.baseline), ("followup", q.followup))
-        ],
-    )
-    _write_table(
-        out / "deltas.csv",
-        [
-            {"patient_id": q.entry.patient_id} | {k: getattr(q.change, k) for k in _DELTAS}
-            for q in quants
-        ],
-    )
-
+    analysis = analyse_cohort(entries, threshold, threads)
+    quants = analysis.quants
+    table = [
+        {"patient_id": q.entry.patient_id, "timepoint": timepoint}
+        | {k: getattr(bio, k) for k in _BIOMARKERS}
+        for q in quants
+        for timepoint, bio in (("baseline", q.baseline), ("followup", q.followup))
+    ]
+    deltas = [
+        {"patient_id": q.entry.patient_id} | {k: getattr(q.change, k) for k in _DELTAS}
+        for q in quants
+    ]
     # (baseline values, follow-up values) per panel, in manifest order
     series = {
         k: ([getattr(q.baseline, k) for q in quants], [getattr(q.followup, k) for q in quants])
@@ -322,32 +334,20 @@ def run_report(
         }
         for k, (before, after) in series.items()
     }
-    write_text_atomic(out / "boxplot.json", dumps_json(panels))
-
-    # after the three files above, so an empty mask still leaves them written
-    threshold, records = _qc_records(quants, threshold)
-    _write_table(
-        out / "qc_scatter.csv",
-        [
-            {"bl_mtv_cm3": q.baseline.mtv_cm3, "mtv_ratio": r.mtv_ratio, "flagged": not r.validated}
-            for q, r in zip(quants, records)
-        ],
+    scatter = [
+        {"bl_mtv_cm3": q.baseline.mtv_cm3, "mtv_ratio": r.mtv_ratio, "flagged": not r.validated}
+        for q, r in zip(quants, analysis.records)
+    ]
+    changes = {k: paired_change(before, after) for k, (before, after) in series.items()}
+    stats_payload = {"n": len(quants), "threshold": analysis.threshold.value, "delta": changes}
+    _write_files(
+        Path(out_dir),
+        {
+            "biomarker_table.csv": _csv(table),
+            "deltas.csv": _csv(deltas),
+            "boxplot.json": dumps_json(panels),
+            "qc_scatter.csv": _csv(scatter),
+            "stats.json": dumps_json(stats_payload),
+        },
     )
-
-    stats_payload: dict = {"n": len(quants), "threshold": threshold.value, "delta": {}}
-    for key, (before, after) in series.items():
-        diffs = [a - b for a, b in zip(after, before)]
-        n = len(diffs)
-        mean = sum(diffs) / n
-        entry: dict = {"mean": mean}
-        if n >= 2:
-            var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-            sd = var**0.5
-            entry["sd"] = sd
-            entry["sem"] = sd / n**0.5
-            if sd > 0:
-                tt = paired_ttest(before, after)
-                entry.update({"t": tt.t, "p": tt.p, "df": tt.df, "significant": tt.significant})
-        stats_payload["delta"][key] = entry
-    write_text_atomic(out / "stats.json", dumps_json(stats_payload))
     return stats_payload

@@ -158,24 +158,17 @@ def centroid(mask: BinaryMask) -> Centroid:
     return Centroid((pos[0], pos[1], pos[2]), quadrant_of(pos[0], pos[1], mask.dims))
 
 
-def _labels_by_size(mask: BinaryMask, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label image plus its component labels, largest first.
-
-    Ties break on the smallest linearized seed index; scipy labels in scan
-    order, so ascending label id is exactly that order (the stable sort
-    keeps it).
-    """
-    labeled, _ = ndimage.label(mask.bits, structure=_structure(connectivity))
-    counts = np.bincount(labeled.ravel(order="K"))[1:]  # order-free: no copy
-    return labeled, np.argsort(-counts, kind="stable") + 1
-
-
 def largest_component(mask: BinaryMask, connectivity: int = 26) -> BinaryMask:
-    """Largest component only (empty in, empty out); avoids materializing the rest."""
-    labeled, order = _labels_by_size(mask, connectivity)
-    if order.size == 0:
+    """Largest component only (empty in, empty out); avoids materializing the rest.
+
+    Ties break on the smallest linearized seed index: scipy labels in scan
+    order, so that is the smallest label, the first maximum `argmax` finds.
+    """
+    labeled, n = ndimage.label(mask.bits, structure=_structure(connectivity))
+    if n == 0:
         return mask
-    return BinaryMask(labeled == order[0], mask.spacing)
+    counts = np.bincount(labeled.ravel(order="K"))[1:]  # order-free: no copy
+    return BinaryMask(labeled == np.argmax(counts) + 1, mask.spacing)
 
 
 def fill_holes(mask: BinaryMask) -> BinaryMask:

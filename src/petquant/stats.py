@@ -1,5 +1,6 @@
-"""Cohort statistics: Pearson correlation, paired t-test, box-plot summaries
-and ordinary least squares, all in float64 with deterministic reductions.
+"""Cohort statistics: Pearson correlation, paired t-test and paired-change
+summary, box-plot summaries and ordinary least squares, all in float64 with
+deterministic reductions.
 
 The t-test p-value is exact via the regularized incomplete beta,
 p = I_x(df/2, 1/2) with x = df/(df + t²); no normal approximation.
@@ -64,19 +65,36 @@ class TTestResult:
     significant: bool
 
 
+def _mean_sd(before, after, min_len: int) -> tuple[int, float, float | None]:
+    """Count, mean and sample sd (None below two pairs) of after − before."""
+    b, a = _paired_arrays(before, after, min_len)
+    d = a - b
+    return d.size, float(d.mean()), float(d.std(ddof=1)) if d.size >= 2 else None
+
+
 def paired_ttest(before, after) -> TTestResult:
     """Two-sided paired t-test on after − before."""
-    b, a = _paired_arrays(before, after, min_len=2)
-    d = a - b
-    n = d.size
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    n, mean, sd = _mean_sd(before, after, min_len=2)
     if sd == 0.0:
         raise DegenerateInputError("paired differences have zero variance")
     t = mean / (sd / math.sqrt(n))
     df = n - 1
     p = student_t_two_sided_p(t, df)
     return TTestResult(t, p, df, mean, sd, p < SIGNIFICANCE_LEVEL)
+
+
+def paired_change(before, after) -> dict:
+    """Summary of after − before: the mean; the sd and sem from two pairs on;
+    and `paired_ttest`'s t, p, df and significance when the sd is non-zero.
+    The mean and sd are the t-test's own `mean_diff` and `sd_diff`."""
+    n, mean, sd = _mean_sd(before, after, min_len=1)
+    entry: dict = {"mean": mean}
+    if sd is not None:
+        entry |= {"sd": sd, "sem": sd / math.sqrt(n)}
+        if sd > 0.0:
+            tt = paired_ttest(before, after)
+            entry |= {"t": tt.t, "p": tt.p, "df": tt.df, "significant": tt.significant}
+    return entry
 
 
 def _median(sorted_vals: np.ndarray) -> float:

@@ -561,6 +561,60 @@ class TestPipelineCommands:
         assert "missing.nii" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", [(), ("--threshold", "7.11")])
+    @pytest.mark.parametrize("command", ["qc", "report"])
+    def test_empty_baseline_masks_name_a_patient(
+        self, cohort_dir, tmp_path, capsys, command, threshold
+    ):
+        # a derived threshold used to fail first, naming no patient:
+        # "cannot derive a threshold from an empty cohort"
+        empty = tmp_path / "empty.nii"
+        write_mask(BinaryMask(np.zeros(DIMS, bool), SPACING), empty)
+        entries = load_manifest(cohort_dir / "manifest.csv")
+        manifest = tmp_path / "m" / "manifest.csv"
+        manifest.parent.mkdir()
+        write_manifest(manifest, [replace(e, bl_mask=empty) for e in entries])
+        out = tmp_path / "out"
+        argv = (command, "--manifest", str(manifest), "--out-dir", str(out), *threshold)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert "patient p0000: empty mask, cannot run QC" in err
+        assert not out.exists()
+
+    def test_report_on_constant_change_cohort(self, tmp_path, capsys):
+        # every MTV halves, so each change is one value: stats.json's sd was a
+        # hand-written sum's rounding residue while paired_ttest's was 0, and
+        # report exited 1 ("zero variance") after writing four of its files
+        spec = tmp_path / "spec.json"
+        cohort = {
+            "n": 8,
+            "ratio_mean": 0.5,
+            "ratio_sd": 0.0,
+            "dims": [32, 32, 20],
+            "spacing_mm": [4, 4, 4],
+            "baseline_radius_mm": 12,
+            "seed": 3,
+        }
+        spec.write_text(json.dumps({"cohort": cohort}))
+        assert run(capsys, "phantom", "--spec", str(spec), "--out", str(tmp_path / "c"))[0] == 0
+        out = tmp_path / "rep"
+        argv = ("report", "--manifest", str(tmp_path / "c" / "manifest.csv"), "--out-dir", str(out))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "biomarker_table.csv",
+            "boxplot.json",
+            "deltas.csv",
+            "qc_scatter.csv",
+            "stats.json",
+        ]
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats == json.loads(stdout)
+        for key in ("mtv_cm3", "tlg"):
+            entry = stats["delta"][key]
+            assert entry["mean"] < 0 and entry["sd"] == entry["sem"] == 0
+            assert "t" not in entry
+
     def test_report_command(self, cohort_dir, tmp_path, capsys):
         code, stdout, _ = run(
             capsys,

@@ -22,13 +22,14 @@ from petquant import (
     ResponseModel,
     Volume3D,
     VolumeDataError,
+    analyse_cohort,
     check_pair,
     export_annotation_batch,
     extract,
     fixed_threshold,
     generate_cohort,
     load_manifest,
-    quantify_cohort,
+    paired_ttest,
     read_mask,
     read_volume,
     run_qc,
@@ -197,7 +198,7 @@ class TestParallelMap:
 class TestQuantifyCohort:
     def test_matches_ground_truth(self, cohort_dir):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        quants = quantify_cohort(entries)
+        quants = analyse_cohort(entries).quants
         truth = json.loads((cohort_dir / "ground_truth.json").read_text())
         for q, t in zip(quants, truth["patients"]):
             assert q.entry.patient_id == t["patient_id"]
@@ -209,9 +210,12 @@ class TestQuantifyCohort:
 
     def test_thread_counts_agree(self, cohort_dir):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        a = quantify_cohort(entries, threads=1)
-        b = quantify_cohort(entries, threads=4)
-        assert [(q.baseline, q.followup) for q in a] == [(q.baseline, q.followup) for q in b]
+        a = analyse_cohort(entries, threads=1)
+        b = analyse_cohort(entries, threads=4)
+        assert [(q.baseline, q.followup) for q in a.quants] == [
+            (q.baseline, q.followup) for q in b.quants
+        ]
+        assert (a.threshold, a.records) == (b.threshold, b.records)
 
     def test_never_widens_a_whole_grid(self, cohort_dir, monkeypatch):
         # every volume is checked whole but widened to float64 on its mask's box only
@@ -220,7 +224,7 @@ class TestQuantifyCohort:
         monkeypatch.setattr(
             nifti, "_to_volume", lambda grid, *a: widened.append(grid.shape) or original(grid, *a)
         )
-        quantify_cohort(load_manifest(cohort_dir / "manifest.csv"), threads=2)
+        analyse_cohort(load_manifest(cohort_dir / "manifest.csv"), threads=2)
         assert len(widened) == 2 * 8
         assert all(np.prod(shape) < np.prod(DIMS) for shape in widened), widened
 
@@ -231,7 +235,7 @@ class TestQuantifyCohort:
         monkeypatch.setattr(
             mask_mod, "bounding_box", lambda bits, *a: scans.append(bits.shape) or original(bits, *a)
         )
-        quants = quantify_cohort(load_manifest(cohort_dir / "manifest.csv")[:3])
+        quants = analyse_cohort(load_manifest(cohort_dir / "manifest.csv")[:3]).quants
         assert [s for s in scans if s == DIMS] == [DIMS] * 2 * 3
         assert all(q.bl_quadrant is not None for q in quants)
 
@@ -431,8 +435,8 @@ class TestRunQc:
             run_qc(load_manifest(manifest), tmp_path / "qc", threshold=fixed_threshold(100.0))
         with pytest.raises(ManifestError, match="p1: empty mask"):
             run_report(load_manifest(manifest), tmp_path / "report")
-        for name in ("biomarker_table.csv", "deltas.csv", "boxplot.json"):
-            assert (tmp_path / "report" / name).exists()  # written before QC runs
+        # report used to write three files before QC raised
+        assert not (tmp_path / "qc").exists() and not (tmp_path / "report").exists()
 
 
 class TestRunReport:
@@ -457,6 +461,34 @@ class TestRunReport:
         assert set(box) == {"suv_max", "mtv_cm3", "tlg"}
         assert set(box["mtv_cm3"]) == {"baseline", "followup"}
 
+    def test_stats_are_the_ttest_own(self, tmp_path):
+        # stats.json's mean and sd used to be a second, sequential sum; on these
+        # ten patients both differ from numpy's pairwise sum in the last digits
+        # (the eight of `cohort_dir` happen to agree)
+        generate_cohort(
+            10,
+            ResponseModel(
+                ratio_mean=0.4, ratio_sd=0.05, outlier_fraction=0.25, outlier_ratio_min=5.0
+            ),
+            seed=13,
+            out_dir=tmp_path / "c",
+            dims=DIMS,
+            spacing=SPACING,
+            baseline_radius_mm=10.0,
+        )
+        entries = load_manifest(tmp_path / "c" / "manifest.csv")
+        stats = run_report(entries, tmp_path / "r")
+        assert json.loads((tmp_path / "r" / "stats.json").read_text()) == stats
+        quants = analyse_cohort(entries).quants
+        for key in ("mtv_cm3", "tlg"):
+            tt = paired_ttest(
+                [getattr(q.baseline, key) for q in quants],
+                [getattr(q.followup, key) for q in quants],
+            )
+            entry = stats["delta"][key]
+            assert (entry["mean"], entry["sd"]) == (tt.mean_diff, tt.sd_diff)
+            assert (entry["t"], entry["p"], entry["df"]) == (tt.t, tt.p, tt.df)
+
     def test_byte_identical_across_threads(self, cohort_dir, tmp_path):
         entries = load_manifest(cohort_dir / "manifest.csv")
         run_report(entries, tmp_path / "t1", threads=1)
@@ -465,12 +497,41 @@ class TestRunReport:
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
 
 
+class TestOneDecodePerFile:
+    """One run maps each volume and each mask file once: the analysis pass
+    serves every report file."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        paths = []
+        original = nifti._decode
+        monkeypatch.setattr(nifti, "_decode", lambda path: paths.append(path) or original(path))
+        return paths
+
+    @staticmethod
+    def _inputs(entries):
+        return [getattr(e, c) for e in entries for c in MANIFEST_COLUMNS[1:5]]
+
+    def test_report(self, cohort_dir, tmp_path, decoded):
+        entries = load_manifest(cohort_dir / "manifest.csv")
+        run_report(entries, tmp_path, threads=2)
+        assert len(decoded) == 4 * len(entries)
+        assert sorted(decoded) == sorted(self._inputs(entries))
+
+    def test_qc_and_its_annotation_export(self, cohort_dir, tmp_path, decoded):
+        entries = load_manifest(cohort_dir / "manifest.csv")
+        summary = run_qc(entries, tmp_path, select_extreme=3, threads=2)
+        extreme = [e.fu_volume for e in entries if e.patient_id in summary["extreme_ids"]]
+        assert extreme and len(decoded) == 4 * len(entries) + len(extreme)
+        assert sorted(decoded) == sorted(self._inputs(entries) + extreme)
+
+
 class TestEmptyCohort:
     def test_rejected_before_any_file(self, tmp_path):
         # run_qc used to write a header-only report with cohort_size 0, and
         # run_report two header-only CSVs before boxplot_summary raised
         with pytest.raises(ManifestError, match="cohort has no patients"):
-            quantify_cohort([])
+            analyse_cohort([])
         with pytest.raises(ManifestError, match="cohort has no patients"):
             run_qc([], tmp_path / "qc", threshold=fixed_threshold(5.0))
         with pytest.raises(ManifestError, match="cohort has no patients"):

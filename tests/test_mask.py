@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
+from scipy import ndimage
 
 from petquant import (
     BinaryMask,
@@ -18,7 +19,7 @@ from petquant import (
     quadrant_of,
     regrid_nearest,
 )
-from petquant.mask import _labels_by_size, bounding_box
+from petquant.mask import _structure, bounding_box
 
 from conftest import (
     bfs_components,
@@ -32,8 +33,10 @@ small_bits = npst.arrays(np.bool_, (4, 4, 4))
 
 
 def connected_components(mask, connectivity=26):
-    """The components of `mask`, largest first, as `_labels_by_size` ranks them."""
-    labeled, order = _labels_by_size(mask, connectivity)
+    """The components of `mask`, largest first; ties go to the smallest label,
+    which scipy gives the component met first in scan order."""
+    labeled, _ = ndimage.label(mask.bits, structure=_structure(connectivity))
+    order = np.argsort(-np.bincount(labeled.ravel())[1:], kind="stable") + 1
     return [BinaryMask(labeled == lab, mask.spacing) for lab in order]
 
 

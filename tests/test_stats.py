@@ -15,6 +15,7 @@ from petquant import (
     regression_line,
     student_t_two_sided_p,
 )
+from petquant.stats import paired_change
 
 # two-sided critical points from published t tables
 T_TABLE = [
@@ -103,6 +104,33 @@ class TestPairedTtest:
 
     def test_t_zero_gives_p_one(self):
         assert student_t_two_sided_p(0.0, 5) == 1.0
+
+
+class TestPairedChange:
+    def test_is_the_ttest_own(self, rng):
+        before, after = rng.random(13).tolist(), rng.random(13).tolist()
+        res = paired_ttest(before, after)
+        assert paired_change(before, after) == {
+            "mean": res.mean_diff,
+            "sd": res.sd_diff,
+            "sem": res.sd_diff / math.sqrt(13),
+            "t": res.t,
+            "p": res.p,
+            "df": res.df,
+            "significant": res.significant,
+        }
+
+    def test_zero_variance_has_no_ttest(self):
+        assert paired_change([1, 2, 3], [2, 3, 4]) == {"mean": 1.0, "sd": 0.0, "sem": 0.0}
+
+    def test_one_pair_has_a_mean_only(self):
+        assert paired_change([2.0], [5.5]) == {"mean": 3.5}
+
+    def test_inputs_checked_like_the_ttest(self):
+        with pytest.raises(ParameterError, match="at least 1"):
+            paired_change([], [])
+        with pytest.raises(GeometryMismatchError):
+            paired_change([1.0, 2.0], [1.0])
 
 
 class TestBoxplot:

@@ -12,8 +12,7 @@ from .cohort import (
     analyse_cohort,
     export_annotation_batch,
     load_manifest,
-    run_qc,
-    run_report,
+    run_cohort,
 )
 from .errors import (
     DegenerateInputError,
@@ -143,8 +142,7 @@ __all__ = [
     "read_volume",
     "regrid_nearest",
     "regression_line",
-    "run_qc",
-    "run_report",
+    "run_cohort",
     "select_extreme_outliers",
     "sensitivity",
     "student_t_two_sided_p",

@@ -4,7 +4,8 @@ MTV is voxel count times voxel volume in cm³; TLG = SUVmean · MTV (SUV·cm³).
 Degenerate cases (empty mask, zero baselines) are flagged through the
 ``warnings`` field rather than raised. Cohort QC still needs a lesion in every
 mask: `cohort.analyse_cohort` refuses a patient with an empty mask by name,
-so `qc` and `report` stop before writing any file.
+so `cohort.run_cohort` (the `qc` and `report` commands) stops before writing
+any file.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: segment, quantify, compare, delta, qc, report, phantom,
-loss-check. Exit codes: 0 success, 1 validation/usage error, 2 I/O or file
-format error. Outputs are written atomically; ``--threads`` bounds
+loss-check. `qc` and `report` take the same flags and run the same cohort
+pass, which writes every cohort file; `qc` prints qc_summary.json and
+`report` stats.json. Exit codes: 0 success, 1 validation/usage error, 2 I/O
+or file format error. Outputs are written atomically; ``--threads`` bounds
 patient-level parallelism without changing any output byte (the default
 comes from the PETQUANT_THREADS environment variable).
 """
@@ -352,26 +354,19 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _cmd_qc(args) -> int:
+def _cmd_cohort(args) -> int:
+    """`qc` and `report`: write every cohort file, print the text of one."""
     if args.select_extreme < 0:  # before anything is read or written
-        raise UsageError(f"qc: --select-extreme must be >= 0, got {args.select_extreme}")
+        raise UsageError(f"{args.command}: --select-extreme must be >= 0, got {args.select_extreme}")
     entries = cohort_mod.load_manifest(args.manifest)
-    summary = cohort_mod.run_qc(
+    files = cohort_mod.run_cohort(
         entries,
         args.out_dir,
         threshold=None if args.threshold is None else fixed_threshold(args.threshold),
         select_extreme=args.select_extreme,
         threads=args.threads,
     )
-    _emit(summary, None)
-    return 0
-
-
-def _cmd_report(args) -> int:
-    entries = cohort_mod.load_manifest(args.manifest)
-    threshold = None if args.threshold is None else fixed_threshold(args.threshold)
-    stats = cohort_mod.run_report(entries, args.out_dir, threshold=threshold, threads=args.threads)
-    _emit(stats, None)
+    _emit(files[args.prints], None)
     return 0
 
 
@@ -505,22 +500,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("qc", parents=[common], help="two-step cohort quality control")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
-    g = p.add_mutually_exclusive_group()
+    # qc and report run one pass that writes every cohort file; each prints one
+    cohort = argparse.ArgumentParser(add_help=False, parents=[common])
+    cohort.add_argument("--manifest", required=True)
+    cohort.add_argument("--out-dir", required=True)
+    g = cohort.add_mutually_exclusive_group()
     g.add_argument("--derive-threshold", action="store_true", dest="derive_threshold",
                    help="derive the ratio threshold from this cohort (default)")
     g.add_argument("--threshold", type=float, help="fixed ratio threshold")
-    p.add_argument("--select-extreme", type=int, default=0, dest="select_extreme",
-                   help="export the K most extreme outliers for annotation")
-    p.set_defaults(func=_cmd_qc)
-
-    p = sub.add_parser("report", parents=[common], help="cohort tables, box plots, statistics")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--threshold", type=float)
-    p.set_defaults(func=_cmd_report)
+    cohort.add_argument("--select-extreme", type=int, default=0, dest="select_extreme",
+                        help="export the K most extreme outliers for annotation")
+    for name, prints, about in (
+        ("qc", "qc_summary.json", "two-step cohort quality control"),
+        ("report", "stats.json", "cohort tables, box plots, statistics"),
+    ):
+        p = sub.add_parser(name, parents=[cohort], help=f"{about}; writes every cohort file")
+        p.set_defaults(func=_cmd_cohort, prints=prints)
 
     p = sub.add_parser("phantom", parents=[common], help="synthetic ground-truth data")
     p.add_argument("--spec", required=True, help="phantom spec JSON")

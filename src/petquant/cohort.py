@@ -1,4 +1,4 @@
-"""Cohort manifest handling and the QC / report pipelines.
+"""Cohort manifest handling and the cohort pipeline that `qc` and `report` share.
 
 A manifest is a CSV whose columns are the fields of `CohortEntry`, the
 schema's one definition (`MANIFEST_COLUMNS` lists them; paths relative to the
@@ -7,16 +7,18 @@ patient_id holds no path separator, since outputs are named after it. When
 dose_MBq and weight_kg are both given the volumes are read as activity
 concentration and the masked voxels converted to SUV, so the pair must make an
 `AcquisitionInfo`; when both are empty they are taken as SUV already.
-`read_table` is the one CSV reader (manifests, `compare --batch` pairs),
-`extract_file` the one reader of biomarkers from a volume file: it reads the
-volume with `nifti.read_stored`, as `read_mask` reads a mask, so the whole
-stored grid is checked but only the mask's bounding box is widened to float64.
+`read_table` is the one CSV reader (manifests, `compare --batch` pairs) and
+refuses an empty required cell by file:line and column. `extract_file` is the
+one reader of biomarkers from a volume file: it reads the volume with
+`nifti.read_stored`, as `read_mask` reads a mask, so the whole stored grid is
+checked but only the mask's bounding box is widened to float64.
 
 `analyse_cohort` is the one analysis pass: it reads and quantifies every
-patient once, fixes the QC threshold and builds every `QcRecord`. `run_qc` and
-`run_report` are writers over its result that analyse, then write: every
-file's text, `stats.json` included, is computed before `out_dir` is made, so a
-run that fails leaves no file.
+patient once, fixes the QC threshold and builds every `QcRecord`. `run_cohort`
+is the one writer over its result, for both the `qc` and the `report`
+command: it analyses, then writes. Every file's text, `stats.json` included,
+is computed before `out_dir` is made, so a run that fails leaves no file, and
+`qc_scatter.csv` is three columns of `qc_report.csv`'s rows.
 
 Each report row is one dict whose keys are its column names: `_csv` takes a
 CSV's header from the first row, and the JSON reports are dicts in key order.
@@ -83,7 +85,8 @@ def parallel_map(fn, items, threads: int) -> list:
 
 def read_table(path: str | Path, required) -> Iterator[tuple[int, dict]]:
     """(line number, row) per data row of a CSV. ManifestError names the file for a
-    missing `required` column, and file:line for a row too short to fill them."""
+    missing `required` column, and file:line for a row too short to fill them or
+    for an empty (or blank) `required` cell, naming its column."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in required if c not in (reader.fieldnames or [])]
@@ -92,6 +95,9 @@ def read_table(path: str | Path, required) -> Iterator[tuple[int, dict]]:
         for row in reader:
             if any(row[c] is None for c in required):
                 raise ManifestError(f"{path}:{reader.line_num}: short row, needs {required}")
+            empty = next((c for c in required if not row[c].strip()), None)
+            if empty is not None:
+                raise ManifestError(f"{path}:{reader.line_num}: empty {empty}")
             yield reader.line_num, row
 
 
@@ -102,8 +108,6 @@ def load_manifest(path: str | Path) -> list[CohortEntry]:
     for lineno, row in read_table(p, MANIFEST_COLUMNS[:5]):
         where = f"{p}:{lineno}"
         pid = row["patient_id"].strip()
-        if not pid:
-            raise ManifestError(f"{where}: empty patient_id")
         if "/" in pid or "\\" in pid:
             # outputs are named after the id: a separator would write outside --out-dir
             raise ManifestError(f"{where}: patient_id {pid!r} contains a path separator")
@@ -252,22 +256,31 @@ def export_annotation_batch(
     return tasks_path
 
 
-def run_qc(
+# BiomarkerSet / DeltaSet fields in their column order, read with getattr
+_BIOMARKERS = ("suv_max", "suv_mean", "mtv_cm3", "tlg", "voxel_count")
+_DELTAS = ("d_suv_max", "pct_d_suv_max", "d_mtv_cm3", "mtv_ratio", "d_tlg")
+_PANELS = ("suv_max", "mtv_cm3", "tlg")
+
+
+def run_cohort(
     entries: list[CohortEntry],
     out_dir: str | Path,
     threshold: QcThreshold | None = None,
     select_extreme: int = 0,
     threads: int = 1,
-) -> dict:
-    """Quantify, flag and (optionally) export extreme outliers.
+) -> dict[str, str]:
+    """Analyse a cohort once and write every cohort file into out_dir:
+    qc_report.csv, qc_summary.json, biomarker_table.csv, deltas.csv,
+    boxplot.json, qc_scatter.csv and stats.json, then, when select_extreme
+    > 0, the annotation batch of that many extreme outliers.
 
     With no explicit threshold, one is derived from the finite MTV ratios of
-    this cohort. Writes qc_report.csv and qc_summary.json in out_dir.
+    this cohort. Returns each file's text by its name.
     """
     analysis = analyse_cohort(entries, threshold, threads)
-    records = analysis.records
+    quants, records = analysis.quants, analysis.records
     extreme = select_extreme_outliers(records, select_extreme)
-    rows = [
+    qc_rows = [
         {
             "patient_id": r.patient_id,
             "bl_mtv_cm3": q.baseline.mtv_cm3,
@@ -279,7 +292,7 @@ def run_qc(
             "outlier_score": r.outlier_score,
             "flagged": not r.validated,
         }
-        for q, r in zip(analysis.quants, records)
+        for q, r in zip(quants, records)
     ]
     summary = {
         "threshold": analysis.threshold.value,
@@ -289,29 +302,6 @@ def run_qc(
         "n_quadrant_mismatch": sum(1 for r in records if not r.quadrant_ok),
         "extreme_ids": extreme,
     }
-    out = Path(out_dir)
-    _write_files(out, {"qc_report.csv": _csv(rows), "qc_summary.json": dumps_json(summary)})
-    if extreme:
-        export_annotation_batch(extreme, entries, out / "annotation_batch")
-    return summary
-
-
-# BiomarkerSet / DeltaSet fields in their column order, read with getattr
-_BIOMARKERS = ("suv_max", "suv_mean", "mtv_cm3", "tlg", "voxel_count")
-_DELTAS = ("d_suv_max", "pct_d_suv_max", "d_mtv_cm3", "mtv_ratio", "d_tlg")
-_PANELS = ("suv_max", "mtv_cm3", "tlg")
-
-
-def run_report(
-    entries: list[CohortEntry],
-    out_dir: str | Path,
-    threshold: QcThreshold | None = None,
-    threads: int = 1,
-) -> dict:
-    """Emit biomarker_table.csv, deltas.csv, boxplot.json, qc_scatter.csv and
-    stats.json for a cohort. Returns the stats payload."""
-    analysis = analyse_cohort(entries, threshold, threads)
-    quants = analysis.quants
     table = [
         {"patient_id": q.entry.patient_id, "timepoint": timepoint}
         | {k: getattr(bio, k) for k in _BIOMARKERS}
@@ -335,19 +325,22 @@ def run_report(
         for k, (before, after) in series.items()
     }
     scatter = [
-        {"bl_mtv_cm3": q.baseline.mtv_cm3, "mtv_ratio": r.mtv_ratio, "flagged": not r.validated}
-        for q, r in zip(quants, analysis.records)
+        {"bl_mtv_cm3": r["bl_mtv_cm3"], "mtv_ratio": r["mtv_ratio"], "flagged": r["flagged"]}
+        for r in qc_rows
     ]
     changes = {k: paired_change(before, after) for k, (before, after) in series.items()}
-    stats_payload = {"n": len(quants), "threshold": analysis.threshold.value, "delta": changes}
-    _write_files(
-        Path(out_dir),
-        {
-            "biomarker_table.csv": _csv(table),
-            "deltas.csv": _csv(deltas),
-            "boxplot.json": dumps_json(panels),
-            "qc_scatter.csv": _csv(scatter),
-            "stats.json": dumps_json(stats_payload),
-        },
-    )
-    return stats_payload
+    stats = {"n": len(quants), "threshold": analysis.threshold.value, "delta": changes}
+    files = {
+        "qc_report.csv": _csv(qc_rows),
+        "qc_summary.json": dumps_json(summary),
+        "biomarker_table.csv": _csv(table),
+        "deltas.csv": _csv(deltas),
+        "boxplot.json": dumps_json(panels),
+        "qc_scatter.csv": _csv(scatter),
+        "stats.json": dumps_json(stats),
+    }
+    out = Path(out_dir)
+    _write_files(out, files)
+    if extreme:
+        export_annotation_batch(extreme, entries, out / "annotation_batch")
+    return files

@@ -17,10 +17,11 @@ except that ``write_mask`` hands a NIfTI mask's chunks to the writer itself;
 ``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
 written as float32, masks as uint8 0/1.
 
-``read_volume`` promotes the whole grid to float64. Every pipeline read goes
-through ``read_stored`` instead: it checks the whole grid in its stored dtype
-and returns it as a ``StoredVolume``, which widens to float64 only the box it
-is asked for. ``read_mask`` is ``read_stored``'s values compared with zero.
+``read_stored`` is the one volume reader, ``_decode``'s one caller: it checks
+the whole grid in its stored dtype and returns it as a ``StoredVolume``,
+which widens to float64 only the box it is asked for. ``read_volume`` is its
+volume widened whole; pipeline reads widen boxes only. ``read_mask`` is
+``read_stored``'s values compared with zero.
 
 Grids stay in file order: a volume or mask read here is an F-contiguous
 (x-fastest) array, as the payload is stored, so reading widens without a
@@ -288,9 +289,9 @@ def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> V
     For NIfTI input the intensity unit defaults to ARBITRARY unless given.
     Sidecars carry their own: an explicit ``unit`` may replace ``arbitrary``,
     but one contradicting a declared SUV or kBq/mL raises IntensityUnitError.
+    It is `read_stored`'s volume, checks included, widened whole to float64.
     """
-    grid, spacing, slope, inter, stored = _decode(Path(path))
-    return _to_volume(grid, spacing, slope, inter, _unit(path, stored, unit))
+    return read_stored(path, unit).widen()
 
 
 @dataclass(frozen=True)
@@ -323,10 +324,9 @@ class StoredVolume(_Grid):
 
 
 def read_stored(path: str | os.PathLike, unit: IntensityUnit | None = None) -> StoredVolume:
-    """The volume at `path` as stored, with `read_volume`'s checks in its
-    order: the unit is resolved the same way, and non-finite values are
-    sought in the stored dtype, since finite scl factors keep a finite stored
-    value finite. Nothing is widened."""
+    """The volume at `path` as stored: the unit is resolved, then non-finite
+    values are sought in the stored dtype, since finite scl factors keep a
+    finite stored value finite. Nothing is widened."""
     grid, spacing, slope, inter, stored = _decode(Path(path))
     unit = _unit(path, stored, unit)
     check_finite(grid)

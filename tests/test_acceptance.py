@@ -7,6 +7,7 @@ Each test covers one release criterion at its stated tolerance and prints a
 import filecmp
 import io
 import itertools
+import json
 import time
 from contextlib import contextmanager, redirect_stdout
 
@@ -40,7 +41,7 @@ from petquant import (
     paired_ttest,
     pearson,
     read_volume,
-    run_qc,
+    run_cohort,
     select_extreme_outliers,
     tversky_index,
     write_volume,
@@ -196,7 +197,8 @@ def test_criterion_5_qc_parity(tmp_path):
             spacing=(4.0, 4.0, 4.0),
             baseline_radius_mm=16.0,
         )
-        summary = run_qc(load_manifest(manifest), tmp_path / "qc", threads=2)
+        files = run_cohort(load_manifest(manifest), tmp_path / "qc", threads=2)
+        summary = json.loads(files["qc_summary.json"])
         assert abs(summary["threshold"] - 7.11) <= 0.05, summary["threshold"]
 
         # worked longitudinal examples against the clinical-parity threshold

@@ -605,7 +605,9 @@ class TestPipelineCommands:
             "biomarker_table.csv",
             "boxplot.json",
             "deltas.csv",
+            "qc_report.csv",
             "qc_scatter.csv",
+            "qc_summary.json",
             "stats.json",
         ]
         stats = json.loads((out / "stats.json").read_text())
@@ -626,6 +628,54 @@ class TestPipelineCommands:
         )
         assert code == 0
         assert (tmp_path / "rep" / "stats.json").exists()
+
+    def test_qc_and_report_write_the_same_files(self, cohort_dir, tmp_path, capsys):
+        # one cohort pass and one writer: the commands differ only in the file they print
+        flags = ("--manifest", str(cohort_dir / "manifest.csv"), "--select-extreme", "2")
+        printed, written = {}, {}
+        for command in ("qc", "report"):
+            out = tmp_path / command
+            code, printed[command], err = run(capsys, command, *flags, "--out-dir", str(out))
+            assert (code, err) == (0, "")
+            written[command] = {
+                str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            }
+        assert written["qc"] == written["report"]
+        assert sorted(p.name for p in (tmp_path / "qc").iterdir()) == [
+            "biomarker_table.csv",
+            "boxplot.json",
+            "deltas.csv",
+            "qc_report.csv",
+            "qc_scatter.csv",
+            "qc_summary.json",
+            "stats.json",
+        ]  # a derived threshold flags none of this cohort: no annotation batch
+        assert printed["qc"].encode() == written["qc"]["qc_summary.json"]
+        assert printed["report"].encode() == written["report"]["stats.json"]
+
+    def test_report_select_extreme_exports(self, cohort_dir, tmp_path, capsys):
+        # report used to have no --select-extreme: only qc exported outliers
+        out = tmp_path / "rep"
+        argv = ("--manifest", str(cohort_dir / "manifest.csv"), "--out-dir", str(out))
+        code, stdout, _ = run(capsys, "report", *argv, "--threshold", "0.3", "--select-extreme", "2")
+        assert code == 0
+        summary = json.loads((out / "qc_summary.json").read_text())
+        assert len(summary["extreme_ids"]) == 2
+        tasks = json.loads((out / "annotation_batch" / "tasks.json").read_text())["tasks"]
+        assert [t["patient_id"] for t in tasks] == summary["extreme_ids"]
+        assert json.loads(stdout) == json.loads((out / "stats.json").read_text())
+
+    def test_report_negative_select_extreme_reads_nothing(
+        self, cohort_dir, tmp_path, capsys, monkeypatch
+    ):
+        opened = []
+        monkeypatch.setattr(nifti, "_decode", opened.append)
+        out = tmp_path / "rep"
+        argv = ("--manifest", str(cohort_dir / "manifest.csv"), "--out-dir", str(out))
+        code, stdout, err = run(capsys, "report", *argv, "--select-extreme", "-1")
+        assert (code, stdout, opened) == (1, "", [])
+        assert "report: --select-extreme must be >= 0, got -1" in err
+        assert not out.exists()
 
     def test_segment_batch_then_qc(self, cohort_dir, tmp_path, capsys):
         code, stdout, _ = run(
@@ -918,6 +968,31 @@ BAD_VALUES = [
 ]
 # BAD_VALUES comes last so the earlier cases keep their ids
 BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES
+
+
+@pytest.mark.parametrize("command", ["qc", "report", "segment", "compare"])
+def test_empty_csv_cell_exits_1(cohort_dir, tmp_path, capsys, command):
+    # an empty path cell used to become the CSV's directory: qc and report exited
+    # 2 ("unsupported volume extension ''"), batch segment exited 0 and wrote its
+    # own directory into the column, compare --batch exited 2
+    entry = load_manifest(cohort_dir / "manifest.csv")[0]
+    good = [str(getattr(entry, c)) for c in MANIFEST_COLUMNS[1:5]]
+    out = tmp_path / "out"
+    if command == "compare":
+        table, column = tmp_path / "pairs.csv", "path_a"
+        table.write_text(f"pair_id,path_a,path_b\nok,{good[1]},{good[1]}\nbad,,{good[1]}\n")
+        argv = ["compare", "--batch", str(table), "--out", str(out)]
+    else:
+        table, column = tmp_path / "manifest.csv", "bl_mask"
+        bad = [good[0], "", *good[2:]]
+        table.write_text(
+            ",".join(MANIFEST_COLUMNS[:5]) + f"\np1,{','.join(good)}\np2,{','.join(bad)}\n"
+        )
+        argv = [command, "--manifest", str(table), "--out-dir", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"petquant: validation error: {table}:3: empty {column}\n"
+    assert not out.exists()
 
 
 # a negative seed used to reach numpy's seeding and exit 1 with a traceback,

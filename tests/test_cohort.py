@@ -32,8 +32,7 @@ from petquant import (
     paired_ttest,
     read_mask,
     read_volume,
-    run_qc,
-    run_report,
+    run_cohort,
     write_mask,
     write_volume,
 )
@@ -110,6 +109,21 @@ class TestManifest:
         )
         with pytest.raises(ManifestError, match=r"sep\.csv:2: patient_id .* path separator"):
             load_manifest(bad)
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    @pytest.mark.parametrize("column", MANIFEST_COLUMNS[:5])
+    def test_empty_cell_names_line_and_column(self, tmp_path, column, blank):
+        # an empty path cell used to become the manifest's directory
+        row = dict(zip(MANIFEST_COLUMNS[:5], ("p2", "a.nii", "b.nii", "c.nii", "d.nii")))
+        row[column] = blank
+        bad = tmp_path / "m.csv"
+        bad.write_text(
+            "patient_id,bl_volume,bl_mask,fu_volume,fu_mask\n"
+            "p1,a.nii,b.nii,c.nii,d.nii\n" + ",".join(row.values()) + "\n"
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(bad)
+        assert str(err.value) == f"{bad}:3: empty {column}"
 
     def test_empty_manifest(self, tmp_path):
         bad = tmp_path / "empty.csv"
@@ -382,7 +396,7 @@ class TestRunQc:
         expected_thr = 1.0 / (sum(ratios.values()) / len(ratios))
         expected_flagged = {pid for pid, r in ratios.items() if r > expected_thr}
 
-        summary = run_qc(entries, tmp_path, select_extreme=3)
+        summary = json.loads(run_cohort(entries, tmp_path, select_extreme=3)["qc_summary.json"])
         assert summary["derivation"] == "reciprocal_mean_ratio"
         assert summary["cohort_size"] == 8
         assert summary["threshold"] == pytest.approx(expected_thr, rel=1e-12)
@@ -403,7 +417,8 @@ class TestRunQc:
 
     def test_fixed_threshold(self, cohort_dir, tmp_path):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        summary = run_qc(entries, tmp_path, threshold=fixed_threshold(100.0))
+        files = run_cohort(entries, tmp_path, threshold=fixed_threshold(100.0))
+        summary = json.loads(files["qc_summary.json"])
         assert summary["threshold"] == 100.0
         assert summary["n_outliers"] == 0
 
@@ -416,7 +431,7 @@ class TestRunQc:
         fu2 = [(x, y, 5) for x in (11, 12, 13) for y in (11, 13)]
         manifest = _write_regrid_cohort(tmp_path, [("p1", bl1, fu1), ("p2", bl2, fu2)])
         thr = fixed_threshold(100.0)
-        run_qc(load_manifest(manifest), tmp_path / "qc", threshold=thr)
+        run_cohort(load_manifest(manifest), tmp_path / "qc", threshold=thr)
         with open(tmp_path / "qc" / "qc_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["patient_id"] for r in rows] == ["p1", "p2"]
@@ -432,9 +447,9 @@ class TestRunQc:
         with pytest.raises(EmptyRegionError, match="vanished"):
             check_pair(*_read_pair(tmp_path, "p1"), fixed_threshold())
         with pytest.raises(ManifestError, match="p1: empty mask"):
-            run_qc(load_manifest(manifest), tmp_path / "qc", threshold=fixed_threshold(100.0))
+            run_cohort(load_manifest(manifest), tmp_path / "qc", threshold=fixed_threshold(100.0))
         with pytest.raises(ManifestError, match="p1: empty mask"):
-            run_report(load_manifest(manifest), tmp_path / "report")
+            run_cohort(load_manifest(manifest), tmp_path / "report")
         # report used to write three files before QC raised
         assert not (tmp_path / "qc").exists() and not (tmp_path / "report").exists()
 
@@ -442,15 +457,20 @@ class TestRunQc:
 class TestRunReport:
     def test_emits_all_files(self, cohort_dir, tmp_path):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        stats = run_report(entries, tmp_path)
-        for name in (
+        files = run_cohort(entries, tmp_path)
+        assert list(files) == [
+            "qc_report.csv",
+            "qc_summary.json",
             "biomarker_table.csv",
             "deltas.csv",
             "boxplot.json",
             "qc_scatter.csv",
             "stats.json",
-        ):
-            assert (tmp_path / name).exists()
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)  # no annotation batch
+        for name, text in files.items():
+            assert (tmp_path / name).read_text() == text
+        stats = json.loads(files["stats.json"])
         assert stats["n"] == 8
         assert set(stats["delta"]) == {"suv_max", "mtv_cm3", "tlg"}
         for key in stats["delta"].values():
@@ -477,8 +497,7 @@ class TestRunReport:
             baseline_radius_mm=10.0,
         )
         entries = load_manifest(tmp_path / "c" / "manifest.csv")
-        stats = run_report(entries, tmp_path / "r")
-        assert json.loads((tmp_path / "r" / "stats.json").read_text()) == stats
+        stats = json.loads(run_cohort(entries, tmp_path / "r")["stats.json"])
         quants = analyse_cohort(entries).quants
         for key in ("mtv_cm3", "tlg"):
             tt = paired_ttest(
@@ -491,15 +510,16 @@ class TestRunReport:
 
     def test_byte_identical_across_threads(self, cohort_dir, tmp_path):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        run_report(entries, tmp_path / "t1", threads=1)
-        run_report(entries, tmp_path / "t8", threads=8)
-        for name in ("biomarker_table.csv", "deltas.csv", "boxplot.json", "stats.json"):
+        files = run_cohort(entries, tmp_path / "t1", threads=1)
+        assert run_cohort(entries, tmp_path / "t8", threads=8) == files
+        for name in files:
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
 
 
 class TestOneDecodePerFile:
     """One run maps each volume and each mask file once: the analysis pass
-    serves every report file."""
+    serves every cohort file, and the annotation export maps each exported
+    follow-up volume once more."""
 
     @pytest.fixture
     def decoded(self, monkeypatch):
@@ -514,13 +534,14 @@ class TestOneDecodePerFile:
 
     def test_report(self, cohort_dir, tmp_path, decoded):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        run_report(entries, tmp_path, threads=2)
+        run_cohort(entries, tmp_path, threads=2)
         assert len(decoded) == 4 * len(entries)
         assert sorted(decoded) == sorted(self._inputs(entries))
 
     def test_qc_and_its_annotation_export(self, cohort_dir, tmp_path, decoded):
         entries = load_manifest(cohort_dir / "manifest.csv")
-        summary = run_qc(entries, tmp_path, select_extreme=3, threads=2)
+        files = run_cohort(entries, tmp_path, select_extreme=3, threads=2)
+        summary = json.loads(files["qc_summary.json"])
         extreme = [e.fu_volume for e in entries if e.patient_id in summary["extreme_ids"]]
         assert extreme and len(decoded) == 4 * len(entries) + len(extreme)
         assert sorted(decoded) == sorted(self._inputs(entries) + extreme)
@@ -528,14 +549,14 @@ class TestOneDecodePerFile:
 
 class TestEmptyCohort:
     def test_rejected_before_any_file(self, tmp_path):
-        # run_qc used to write a header-only report with cohort_size 0, and
-        # run_report two header-only CSVs before boxplot_summary raised
+        # qc used to write a header-only report with cohort_size 0, and
+        # report two header-only CSVs before boxplot_summary raised
         with pytest.raises(ManifestError, match="cohort has no patients"):
             analyse_cohort([])
         with pytest.raises(ManifestError, match="cohort has no patients"):
-            run_qc([], tmp_path / "qc", threshold=fixed_threshold(5.0))
+            run_cohort([], tmp_path / "qc", threshold=fixed_threshold(5.0))
         with pytest.raises(ManifestError, match="cohort has no patients"):
-            run_report([], tmp_path / "report")
+            run_cohort([], tmp_path / "report")
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
@@ -546,8 +567,8 @@ class TestReportLayout:
     def out(self, cohort_dir, tmp_path_factory):
         out = tmp_path_factory.mktemp("layout")
         entries = load_manifest(cohort_dir / "manifest.csv")
-        run_qc(entries, out / "qc", select_extreme=1)
-        run_report(entries, out / "report")
+        run_cohort(entries, out / "qc", select_extreme=1)
+        run_cohort(entries, out / "report")
         return out
 
     @pytest.mark.parametrize(

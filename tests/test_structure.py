@@ -8,9 +8,11 @@ formula (`volume.AcquisitionInfo.suv_scale`), one JSON decoder in the CLI
 (`cli._read_json`), one voxel-volume formula (`volume.voxel_volume_cm3`), one
 volume-file suffix dispatch (`nifti._format`), one NIfTI header encoder, one
 foreground bounding box (`mask.bounding_box`) and one pipeline volume reader
-(`nifti.read_stored`, which `read_mask` and `cohort.extract_file` go through;
-only it and `read_volume`, the public whole-grid reader, call `nifti._decode`);
-new call sites use those instead of copies.
+(`nifti.read_stored`, which `read_mask`, `read_volume` and
+`cohort.extract_file` go through; only it calls `nifti._decode`) and one cohort
+writer (`cohort.run_cohort`, the only caller of `analyse_cohort` and
+`_write_files`, for both `qc` and `report`); new call sites use those instead
+of copies.
 
 The benchmark's traced run wraps functions by name (`perfbench/replay.py`'s
 `LAYERS`), so each name it lists must exist.
@@ -304,14 +306,33 @@ def test_one_volume_reader():
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_decode" for n in ast.walk(node))
     )
-    assert callers == ["read_stored", "read_volume"], callers
-    assert len(_calls("_decode")) == 2, _calls("_decode")
+    assert callers == ["read_stored"], callers
+    assert len(_calls("_decode")) == 1, _calls("_decode")
     names = {"read_volume_box"}
     hits = [
         where
         for where, node in _nodes()
         if {getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)} & names
     ]
+    assert hits == [], hits
+
+
+def test_one_cohort_writer():
+    # qc and report once had a writer each, run_qc and run_report, over the same
+    # analysis; a call through a module alias (`cohort_mod.analyse_cohort`) counts
+    def calls(node, name: str) -> bool:
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+    for name in ("analyse_cohort", "_write_files"):
+        callers = [
+            where.split(":")[0] + ":" + node.name
+            for where, node in _nodes()
+            if isinstance(node, ast.FunctionDef) and any(calls(n, name) for n in ast.walk(node))
+        ]
+        assert callers == ["cohort.py:run_cohort"], (name, callers)
+        assert len([w for w, node in _nodes() if calls(node, name)]) == 1, name
+    texts = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    hits = [f for f, text in texts.items() if "run_qc" in text or "run_report" in text]
     assert hits == [], hits
 
 

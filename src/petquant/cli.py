@@ -500,7 +500,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_delta)
 
-    # qc and report run one pass that writes every cohort file; each prints one
     cohort = argparse.ArgumentParser(add_help=False, parents=[common])
     cohort.add_argument("--manifest", required=True)
     cohort.add_argument("--out-dir", required=True)

@@ -630,18 +630,21 @@ class TestPipelineCommands:
         assert (tmp_path / "rep" / "stats.json").exists()
 
     def test_qc_and_report_write_the_same_files(self, cohort_dir, tmp_path, capsys):
-        # one cohort pass and one writer: the commands differ only in the file they print
-        flags = ("--manifest", str(cohort_dir / "manifest.csv"), "--select-extreme", "2")
+        # one cohort pass and one writer: the commands differ only in the file
+        # they print (report used to write five files and take no --select-extreme)
+        flags = ("--manifest", str(cohort_dir / "manifest.csv"), "--threshold", "0.3")
         printed, written = {}, {}
         for command in ("qc", "report"):
             out = tmp_path / command
-            code, printed[command], err = run(capsys, command, *flags, "--out-dir", str(out))
+            argv = (command, *flags, "--select-extreme", "2", "--out-dir", str(out))
+            code, printed[command], err = run(capsys, *argv)
             assert (code, err) == (0, "")
             written[command] = {
                 str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
             }
         assert written["qc"] == written["report"]
-        assert sorted(p.name for p in (tmp_path / "qc").iterdir()) == [
+        assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+            "annotation_batch",
             "biomarker_table.csv",
             "boxplot.json",
             "deltas.csv",
@@ -649,21 +652,13 @@ class TestPipelineCommands:
             "qc_scatter.csv",
             "qc_summary.json",
             "stats.json",
-        ]  # a derived threshold flags none of this cohort: no annotation batch
+        ]
+        summary = json.loads(written["report"]["qc_summary.json"])
+        tasks = json.loads(written["report"]["annotation_batch/tasks.json"])["tasks"]
+        assert len(summary["extreme_ids"]) == 2
+        assert [t["patient_id"] for t in tasks] == summary["extreme_ids"]
         assert printed["qc"].encode() == written["qc"]["qc_summary.json"]
         assert printed["report"].encode() == written["report"]["stats.json"]
-
-    def test_report_select_extreme_exports(self, cohort_dir, tmp_path, capsys):
-        # report used to have no --select-extreme: only qc exported outliers
-        out = tmp_path / "rep"
-        argv = ("--manifest", str(cohort_dir / "manifest.csv"), "--out-dir", str(out))
-        code, stdout, _ = run(capsys, "report", *argv, "--threshold", "0.3", "--select-extreme", "2")
-        assert code == 0
-        summary = json.loads((out / "qc_summary.json").read_text())
-        assert len(summary["extreme_ids"]) == 2
-        tasks = json.loads((out / "annotation_batch" / "tasks.json").read_text())["tasks"]
-        assert [t["patient_id"] for t in tasks] == summary["extreme_ids"]
-        assert json.loads(stdout) == json.loads((out / "stats.json").read_text())
 
     def test_report_negative_select_extreme_reads_nothing(
         self, cohort_dir, tmp_path, capsys, monkeypatch

@@ -11,12 +11,16 @@ any file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IntensityUnitError, VolumeDataError
 from .mask import BinaryMask, require_same_geometry
 from .volume import AcquisitionInfo, IntensityUnit, Volume3D
+
+if TYPE_CHECKING:
+    from .nifti import StoredVolume
 
 
 @dataclass(frozen=True)
@@ -47,13 +51,18 @@ class DeltaSet:
     warnings: tuple[str, ...] = ()
 
 
-def extract(vol: Volume3D, mask: BinaryMask, acq: AcquisitionInfo | None = None) -> BiomarkerSet:
+def extract(
+    vol: Volume3D | StoredVolume, mask: BinaryMask, acq: AcquisitionInfo | None = None
+) -> BiomarkerSet:
     """Biomarkers over the masked region of an SUV volume or, given `acq`, of
     an activity-concentration volume (kBq/mL) in body-weight SUV.
 
-    Only the masked voxels are scaled, each by `acq.suv_scale` as `to_suv`
-    scales every voxel, so the values are `extract(to_suv(vol, acq), mask)`'s
-    bit for bit. An empty mask yields an all-zero set flagged with a warning.
+    `vol` may be a volume file as stored (`nifti.StoredVolume`): only the
+    mask's bounding box is widened to float64, and the result is that of the
+    whole volume widened. Only the masked voxels are scaled, each by
+    `acq.suv_scale` as `to_suv` scales every voxel, so the values are
+    `extract(to_suv(vol, acq), mask)`'s bit for bit. An empty mask yields an
+    all-zero set flagged with a warning and widens nothing.
     """
     require_same_geometry(vol, mask)
     need = IntensityUnit.SUV if acq is None else IntensityUnit.ACTIVITY_KBQ_PER_ML
@@ -65,7 +74,7 @@ def extract(vol: Volume3D, mask: BinaryMask, acq: AcquisitionInfo | None = None)
     if box is None:
         return BiomarkerSet(0.0, 0.0, 0.0, 0.0, 0, ("empty mask: biomarkers set to zero",))
     # the box keeps the voxels' logical index order, so mean's pairwise sum is unchanged
-    selected = vol.values[box][mask.bits[box]]
+    selected = vol.widen(box).values[mask.bits[box]]
     if acq is not None:
         with np.errstate(over="ignore"):  # reported by the finite check below
             selected *= acq.suv_scale

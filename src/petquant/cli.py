@@ -23,18 +23,12 @@ from . import cohort as cohort_mod
 from .biomarkers import BiomarkerSet, delta as biomarker_delta
 from .errors import InputDataError, ParameterError, PetQuantError, check_real
 from .losses import LossParams, gradient_check
-from .mask import BinaryMask, grow_box, paste
+from .mask import BinaryMask
 from .metrics import dice, hausdorff_mm, iou, sensitivity
 from .nifti import read_mask, read_stored, write_mask, write_volume
 from .phantom import LesionSpec, ResponseModel, generate, generate_cohort
 from .qc import fixed_threshold
-from .segment import (
-    BACKGROUND_SHELL_GAP,
-    check_param,
-    postprocess,
-    threshold_contrast_iterative,
-    threshold_pct_suvmax,
-)
+from .segment import CONTRAST_PARAMS, check_param, segment_stored
 from .serialize import dumps_csv, dumps_json, write_text_atomic
 from .volume import AcquisitionInfo
 
@@ -166,7 +160,6 @@ _SEG_CONFIG = {
     "roi": object,
     "postprocess": bool,
 }
-_CONTRAST_KEYS = ("a", "b", "tol", "max_iter")  # passed only when set: the library has defaults
 
 
 def _load_seg_config(args) -> dict:
@@ -187,7 +180,7 @@ def _load_seg_config(args) -> dict:
         cfg["postprocess"] = False
     if cfg["method"] not in ("pct_suvmax", "contrast"):
         raise ParameterError(f"method must be 'pct_suvmax' or 'contrast', got {cfg['method']!r}")
-    params = ("pct",) if cfg["method"] == "pct_suvmax" else _CONTRAST_KEYS
+    params = ("pct",) if cfg["method"] == "pct_suvmax" else CONTRAST_PARAMS
     for key in (*params, "roi"):
         if cfg.get(key) is None:
             continue
@@ -201,50 +194,13 @@ def _load_seg_config(args) -> dict:
 
 
 def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
-    """Segment one volume file into a mask file; returns the run's info.
-
-    The stored grid is checked whole, but widened to float64 only where a
-    threshold reads values: nowhere for pct_suvmax without an roi, which
-    compares the stored grid; else on the roi's box (the whole grid when
-    there is none), grown for contrast by the background shell's reach.
-    The primitives treat everything beyond a box as background, so the mask
-    made on that crop and pasted back is the whole grid's.
-    """
+    """Segment one volume file into a mask file with `segment.segment_stored`;
+    returns the run's info. The stored grid is checked whole before the roi
+    is placed on it."""
     stored = read_stored(vol_path)
-    crop = None
-    if cfg["roi"] is None and cfg["method"] == "pct_suvmax":
-        vol, roi = stored, None  # threshold_pct_suvmax takes None as the whole grid
-    else:
-        dims = stored.dims
-        whole = (slice(0, dims[0]), slice(0, dims[1]), slice(0, dims[2]))
-        box = whole if cfg["roi"] is None else _roi_box(cfg["roi"], dims)
-        reach = BACKGROUND_SHELL_GAP if cfg["method"] == "contrast" else 0
-        crop = grow_box(box, reach, dims)
-        vol = stored.widen(crop)
-        x, y, z = (slice(b.start - c.start, b.stop - c.start) for b, c in zip(box, crop))
-        roi = paste(True, (x, y, z), vol)
-    info: dict = {"method": cfg["method"]}
-    if cfg["method"] == "pct_suvmax":
-        mask = threshold_pct_suvmax(vol, roi, cfg["pct"])
-        info["pct"] = cfg["pct"]
-    else:
-        result = threshold_contrast_iterative(
-            vol, roi, **{k: cfg[k] for k in _CONTRAST_KEYS if k in cfg}
-        )
-        mask = result.mask
-        info.update(
-            {
-                "threshold": result.threshold,
-                "converged": result.converged,
-                "iterations": result.iterations,
-            }
-        )
-    if cfg["postprocess"]:
-        mask = postprocess(mask)
-    if crop is not None:
-        mask = paste(mask.bits, crop, stored)
+    box = None if cfg["roi"] is None else _roi_box(cfg["roi"], stored.dims)
+    mask, info = segment_stored(stored, box, cfg)
     write_mask(mask, mask_path)
-    info["voxel_count"] = mask.voxel_count
     return info
 
 

@@ -10,8 +10,9 @@ concentration and the masked voxels converted to SUV, so the pair must make an
 `read_table` is the one CSV reader (manifests, `compare --batch` pairs) and
 refuses an empty required cell by file:line and column. `extract_file` is the
 one reader of biomarkers from a volume file: it reads the volume with
-`nifti.read_stored`, as `read_mask` reads a mask, so the whole stored grid is
-checked but only the mask's bounding box is widened to float64.
+`nifti.read_stored`, as `read_mask` reads a mask, and hands it to
+`biomarkers.extract` as stored, so the whole stored grid is checked but only
+the mask's bounding box is widened to float64.
 
 `analyse_cohort` is the one analysis pass: it reads and quantifies every
 patient once, fixes the QC threshold and builds every `QcRecord`. `run_cohort`
@@ -31,6 +32,7 @@ manifest order, so reports are byte-identical for any thread count.
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -40,7 +42,7 @@ import numpy as np
 
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
 from .errors import ManifestError, ParameterError
-from .mask import BinaryMask, Quadrant, require_same_geometry
+from .mask import BinaryMask, Quadrant
 from .nifti import read_mask, read_stored, write_mask, write_volume
 from .qc import (
     QcRecord,
@@ -84,11 +86,19 @@ def parallel_map(fn, items, threads: int) -> list:
 
 
 def read_table(path: str | Path, required) -> Iterator[tuple[int, dict]]:
-    """(line number, row) per data row of a CSV. ManifestError names the file for a
-    missing `required` column, and file:line for a row too short to fill them or
-    for an empty (or blank) `required` cell, naming its column."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    """(line number, row) per data row of a UTF-8 CSV. ManifestError names the
+    file for a missing `required` column, and file:line for bytes that are not
+    UTF-8, a malformed row (a cell over csv's size limit, say), a row too short
+    to fill the `required` columns, or an empty (or blank) `required` cell or
+    one holding a NUL, naming its column."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         missing = [c for c in required if c not in (reader.fieldnames or [])]
         if missing:
             raise ManifestError(f"{path}: missing columns {missing}")
@@ -98,7 +108,12 @@ def read_table(path: str | Path, required) -> Iterator[tuple[int, dict]]:
             empty = next((c for c in required if not row[c].strip()), None)
             if empty is not None:
                 raise ManifestError(f"{path}:{reader.line_num}: empty {empty}")
+            nul = next((c for c in required if "\0" in row[c]), None)
+            if nul is not None:  # open() refuses a path holding one with a ValueError
+                raise ManifestError(f"{path}:{reader.line_num}: NUL byte in {nul}")
             yield reader.line_num, row
+    except csv.Error as exc:  # DictReader counts a line once it is a row: ask its reader
+        raise ManifestError(f"{path}:{reader.reader.line_num}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> list[CohortEntry]:
@@ -149,13 +164,10 @@ def extract_file(path: str | Path, mask: BinaryMask, acq: AcquisitionInfo | None
     """Biomarkers of a volume file under `mask`: its values read as activity
     concentration and the masked ones converted with `acq`, or, with no
     acquisition info, taken as SUV already. The result, errors included, is
-    `extract(read_volume(path, unit), mask, acq)`'s; only the mask's bounding
-    box (a one-voxel corner when the mask is empty) is widened to float64."""
+    `extract(read_volume(path, unit), mask, acq)`'s; `extract` widens only the
+    mask's bounding box of the stored grid."""
     unit = IntensityUnit.SUV if acq is None else IntensityUnit.ACTIVITY_KBQ_PER_ML
-    vol = read_stored(path, unit)
-    require_same_geometry(vol, mask)
-    box = mask.box or (slice(0, 1),) * 3
-    return extract(vol.widen(box), BinaryMask(mask.bits[box], mask.spacing), acq)
+    return extract(read_stored(path, unit), mask, acq)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Segmentation-quality metrics between two binary masks.
 
 Dice, IoU and sensitivity are plain overlap ratios of the integer counts
-`overlap_counts` takes on the union's bounding box. The Hausdorff distance
-is the exact maximum (no percentile variant) between boundary voxel centers,
-in millimeters, using the shared voxel spacing.
+`overlap_counts` takes on the hull of the two masks' bounding boxes. The
+Hausdorff distance is the exact maximum (no percentile variant) between
+boundary voxel centers, in millimeters, using the shared voxel spacing.
 """
 
 from __future__ import annotations
@@ -13,16 +13,18 @@ import math
 import numpy as np
 
 from .errors import EmptyRegionError
-from .mask import BinaryMask, boundary_voxels, bounding_box, require_same_geometry
+from .mask import BinaryMask, boundary_voxels, require_same_geometry
 
 
 def overlap_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
-    """|A|, |B| and |A∩B| of two masks on one grid, counted on the box of A∪B."""
+    """|A|, |B| and |A∩B| of two masks on one grid, counted on the hull of
+    their boxes, which holds A∪B."""
     require_same_geometry(a, b)
-    box = bounding_box(a.bits | b.bits)
-    if box is None:
+    boxes = [m.box for m in (a, b) if m.box is not None]
+    if not boxes:
         return 0, 0, 0
-    in_a, in_b = a.bits[box], b.bits[box]
+    x, y, z = (slice(min(s.start for s in sl), max(s.stop for s in sl)) for sl in zip(*boxes))
+    in_a, in_b = a.bits[x, y, z], b.bits[x, y, z]
     return int(in_a.sum()), int(in_b.sum()), int((in_a & in_b).sum())
 
 

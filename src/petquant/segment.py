@@ -16,14 +16,16 @@ post-processing morphology run on the foreground's bounding box
 masks back; the results are the full-grid ones bit for bit. A box keeps the
 logical (x, y, z) index order, whatever the memory layout, so masked values,
 the first-argmax seed and `mean`'s pairwise sum come out in the same order.
-For the same reason a caller may run a threshold and `postprocess` on a
-crop holding the ROI (plus BACKGROUND_SHELL_GAP for the contrast rule) and
-paste the mask back, as `petquant segment` does.
 
 Without an ROI, `threshold_pct_suvmax` also takes a file's grid as stored
 (`nifti.StoredVolume`) and compares it in its stored dtype against the
 least stored value at or above pct · max: the mask of widening every voxel
 to float64 first, without the widening.
+
+`segment_stored` is the one segmentation of a stored volume: it widens the
+ROI's box (grown by BACKGROUND_SHELL_GAP for the contrast rule), or nothing
+for the percentage rule without an ROI, thresholds and post-processes that
+crop and pastes the mask back onto the file's grid.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .volume import Volume3D
 if TYPE_CHECKING:
     from .nifti import StoredVolume
 
+CONTRAST_PARAMS = ("a", "b", "tol", "max_iter")  # a setting left out takes its default
 DEFAULT_CONTRAST_A = 0.39
 DEFAULT_CONTRAST_B = 1.0
 # voxels between ROI and the 1-voxel background shell; >= 2, since scipy
@@ -185,10 +188,9 @@ def threshold_contrast_iterative(
     if selected.any():
         # keep only the component holding the ROI maximum (first argmax in scan order)
         seed = tuple(np.argwhere(roi_bits & (box_values == local_max))[0])
+        # the seed is selected: the ROI maximum is at or above any threshold that selects
         labeled, _ = ndimage.label(selected, structure=_structure(26))
-        seed_label = labeled[seed]
-        if seed_label > 0:
-            selected = labeled == seed_label
+        selected = labeled == labeled[seed]
     return ContrastResult(paste(selected, box, vol), t_cur, converged, iterations)
 
 
@@ -201,3 +203,45 @@ def postprocess(mask: BinaryMask) -> BinaryMask:
     box = grow_box(mask.box, 1, mask.dims)
     crop = BinaryMask(mask.bits[box], mask.spacing)
     return paste(fill_holes(largest_component(crop, connectivity=26)).bits, box, mask)
+
+
+def segment_stored(
+    stored: StoredVolume, box: tuple[slice, slice, slice] | None, settings: dict
+) -> tuple[BinaryMask, dict]:
+    """The mask of `stored` under `settings` (method, pct, postprocess and the
+    CONTRAST_PARAMS given) inside the ROI `box` (None: the whole grid), and the
+    run's info.
+
+    Float64 is made only where a threshold reads values: nowhere for
+    pct_suvmax without a box, which compares the stored grid; else on the box,
+    grown for contrast by the background shell's reach. The primitives treat
+    everything beyond a crop as background, so the mask made on it and pasted
+    back is the whole grid's.
+    """
+    method = settings["method"]
+    crop = None
+    if box is None and method == "pct_suvmax":
+        vol, roi = stored, None  # threshold_pct_suvmax takes None as the whole grid
+    else:
+        box = box or tuple(slice(0, n) for n in stored.dims)  # no box: the whole grid
+        crop = grow_box(box, BACKGROUND_SHELL_GAP if method == "contrast" else 0, stored.dims)
+        vol = stored.widen(crop)
+        x, y, z = (slice(b.start - c.start, b.stop - c.start) for b, c in zip(box, crop))
+        roi = paste(True, (x, y, z), vol)
+    info: dict = {"method": method}
+    if method == "pct_suvmax":
+        mask = threshold_pct_suvmax(vol, roi, settings["pct"])
+        info["pct"] = settings["pct"]
+    else:
+        contrast = {k: settings[k] for k in CONTRAST_PARAMS if k in settings}
+        result = threshold_contrast_iterative(vol, roi, **contrast)
+        mask = result.mask
+        info.update(
+            threshold=result.threshold, converged=result.converged, iterations=result.iterations
+        )
+    if settings["postprocess"]:
+        mask = postprocess(mask)
+    if crop is not None:
+        mask = paste(mask.bits, crop, stored)
+    info["voxel_count"] = mask.voxel_count
+    return mask, info

@@ -115,6 +115,10 @@ class Volume3D(_Grid):
             raise ParameterError(f"unit must be an IntensityUnit, got {self.unit!r}")
         self._store(arr, spacing)
 
+    def widen(self, box: tuple[slice, slice, slice]) -> Volume3D:
+        """The volume of `box`, as `nifti.StoredVolume.widen` gives it."""
+        return Volume3D(self.values[box], self.spacing, self.unit)
+
 
 @dataclass(frozen=True)
 class AcquisitionInfo:

@@ -990,6 +990,45 @@ def test_empty_csv_cell_exits_1(cohort_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+# bytes the CSV reader used to let through: a NUL in a path cell reached the
+# volume reader (exit 2; batch segment, which never opens the mask column,
+# exited 0), while non-UTF-8 bytes (UnicodeDecodeError) and a cell over csv's
+# limit (_csv.Error) were tracebacks that ignored --json-errors
+BAD_CSV_CELLS = {
+    "nul": (lambda path: path + b"\0", "NUL byte in {column}"),
+    "not_utf8": (lambda path: path + b"\xff", "not UTF-8 text (invalid start byte)"),
+    "oversized": (lambda path: b"x" * 131_073, "field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CSV_CELLS)
+@pytest.mark.parametrize("command", ["qc", "report", "segment", "compare"])
+def test_bad_csv_bytes_exit_1(cohort_dir, tmp_path, capsys, command, case):
+    make_cell, message = BAD_CSV_CELLS[case]
+    entry = load_manifest(cohort_dir / "manifest.csv")[0]
+    good = [str(getattr(entry, c)).encode() for c in MANIFEST_COLUMNS[1:5]]
+    out = tmp_path / "out"
+    if command == "compare":
+        table, column = tmp_path / "pairs.csv", "path_a"
+        rows = [b"pair_id,path_a,path_b", b",".join([b"ok", good[1], good[1]])]
+        rows.append(b",".join([b"bad", make_cell(good[1]), good[1]]))
+        argv = ["compare", "--batch", str(table), "--out", str(out)]
+    else:
+        table, column = tmp_path / "manifest.csv", "bl_mask"
+        rows = [",".join(MANIFEST_COLUMNS[:5]).encode(), b",".join([b"p1", *good])]
+        rows.append(b",".join([b"p2", good[0], make_cell(good[1]), *good[2:]]))
+        argv = [command, "--manifest", str(table), "--out-dir", str(out)]
+    table.write_bytes(b"\n".join(rows) + b"\n")
+    code, stdout, err = run(capsys, *argv, "--json-errors")
+    assert (code, stdout, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {
+        "error": "validation error",
+        "type": "ManifestError",
+        "message": f"{table}:3: " + message.format(column=column),
+    }
+    assert not out.exists()
+
+
 # a negative seed used to reach numpy's seeding and exit 1 with a traceback,
 # --json-errors or not; the lesion's seed only seeds its noise
 NEGATIVE_SEEDS = {

@@ -33,7 +33,7 @@ from petquant import (
 )
 from petquant import cli, nifti, volume
 from petquant.nifti import StoredVolume, encode_nifti
-from petquant.segment import BACKGROUND_SHELL_GAP
+from petquant.segment import BACKGROUND_SHELL_GAP, segment_stored
 
 from conftest import naive_pct_threshold
 
@@ -199,6 +199,12 @@ class TestSegmentFile:
         assert np.array_equal(read_mask(out).bits, expected)
         assert got["voxel_count"] == int(expected.sum())
         assert {k: got[k] for k in info} == info
+        # the library function segment runs, called directly
+        box = None if roi is None else tuple(slice(roi[i], roi[i + 3]) for i in range(3))
+        settings = {"method": method, "pct": pct, "postprocess": True}
+        mask, direct = segment_stored(nifti.read_stored(path), box, settings)
+        assert np.array_equal(mask.bits, expected)
+        assert direct == {k: v for k, v in got.items() if k != "mask"}
 
     @pytest.fixture
     def float32_file(self, tmp_path):

@@ -22,6 +22,11 @@ C-order copy, and full-grid arrays made next to a grid take its layout.
 Segmentation reads each volume as stored and never calls `read_volume`,
 which widens the whole grid to float64.
 
+Each crop rule lives in the one module that needs it: `segment.segment_stored`
+owns the ROI box, its background-shell reach and the paste back, so the CLI
+imports none of them, and `biomarkers.extract` widens the mask's box itself,
+so `cohort.extract_file` neither widens nor checks geometry.
+
 Every file is written by `serialize.write_bytes_atomic`, holes included: no
 other function opens a file for writing, truncates one or maps one writable,
 and the writer takes no flag. Files are only ever read through a map or a
@@ -57,6 +62,24 @@ def _calls(dotted: str, files: str = "*.py") -> list[str]:
         for where, node in _nodes(files)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == dotted
     ]
+
+
+def _callers(name: str) -> list[str]:
+    """file:function of each function that calls `name`, through any alias."""
+    return [
+        where.split(":")[0] + ":" + node.name
+        for where, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == name
+            for n in ast.walk(node)
+        )
+    ]
+
+
+def _function(file: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / file).read_text())
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
 def test_one_thread_pool():
@@ -194,6 +217,10 @@ def test_one_bounding_box_routine():
     assert owners == {"mask.py:bounding_box"}, owners
     everywhere = [w for w, node in _nodes() if _is_axis_any(node)]
     assert len(everywhere) == 1, everywhere
+    # a mask's box is found once and kept: BinaryMask.box is the only caller,
+    # and overlap_counts takes the hull of two masks' boxes
+    callers = _callers("bounding_box")
+    assert callers == ["mask.py:box"], callers
 
 
 def test_read_path_keeps_the_file_layout():
@@ -324,11 +351,7 @@ def test_one_cohort_writer():
         return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
 
     for name in ("analyse_cohort", "_write_files"):
-        callers = [
-            where.split(":")[0] + ":" + node.name
-            for where, node in _nodes()
-            if isinstance(node, ast.FunctionDef) and any(calls(n, name) for n in ast.walk(node))
-        ]
+        callers = _callers(name)
         assert callers == ["cohort.py:run_cohort"], (name, callers)
         assert len([w for w, node in _nodes() if calls(node, name)]) == 1, name
     texts = {p.name: p.read_text() for p in SRC.glob("*.py")}
@@ -357,13 +380,44 @@ def test_benchmark_layers_exist():
 def test_segment_reads_volumes_as_stored():
     # read_volume widens a whole grid to float64; segment reads the stored grid
     # (nifti.read_stored) and widens at most an roi's box
-    tree = ast.parse((SRC / "cli.py").read_text())
-    fn = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_segment_file"
-    )
+    fn = _function("cli.py", "_segment_file")
     names = {ast.unparse(n) for n in ast.walk(fn) if isinstance(n, (ast.Name, ast.Attribute))}
     assert "read_stored" in names
     assert not any(name.split(".")[-1] == "read_volume" for name in names), names
+
+
+def test_each_crop_rule_in_the_module_that_needs_it():
+    # the CLI once restated segment's box reach and threshold dispatch, and
+    # extract_file re-cropped the volume and mask that extract already crops
+    imported = {
+        alias.name
+        for _, node in _nodes("cli.py")
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    segment_rules = {
+        "BACKGROUND_SHELL_GAP",
+        "grow_box",
+        "paste",
+        "threshold_pct_suvmax",
+        "threshold_contrast_iterative",
+        "postprocess",
+    }
+    assert imported & segment_rules == set(), imported & segment_rules
+    box_rules = {"BACKGROUND_SHELL_GAP", "grow_box", "paste"}
+    users = {
+        where.split(":")[0]
+        for where, node in _nodes()
+        if {getattr(node, key, None) for key in ("id", "attr", "name")} & box_rules
+    }
+    assert users == {"mask.py", "segment.py"}, users
+    fn = _function("cohort.py", "extract_file")
+    calls = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(fn) if isinstance(n, ast.Call)}
+    assert calls & {"widen", "require_same_geometry"} == set(), calls
+    # _segment_file reads, makes one segment_stored call and writes
+    fn = _function("cli.py", "_segment_file")
+    calls = [ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)]
+    assert sorted(calls) == ["_roi_box", "read_stored", "segment_stored", "write_mask"], calls
 
 
 # besides an `open` for writing: the calls that write or resize a file by name or descriptor

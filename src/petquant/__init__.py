@@ -6,6 +6,8 @@ quality control with annotation-batch export, cohort statistics/reports,
 and a synthetic phantom generator with analytic ground truth.
 """
 
+from types import ModuleType as _ModuleType
+
 from .biomarkers import BiomarkerSet, DeltaSet, delta, extract
 from .cohort import (
     CohortEntry,
@@ -79,77 +81,5 @@ from .volume import AcquisitionInfo, IntensityUnit, Volume3D, to_suv
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcquisitionInfo",
-    "BinaryMask",
-    "BiomarkerSet",
-    "BoxplotSummary",
-    "Centroid",
-    "CohortEntry",
-    "ContrastResult",
-    "DegenerateInputError",
-    "DeltaSet",
-    "EmptyRegionError",
-    "GeometryMismatchError",
-    "IntensityUnit",
-    "IntensityUnitError",
-    "LesionSpec",
-    "LesionSpecError",
-    "LossParams",
-    "ManifestError",
-    "ParameterError",
-    "PetQuantError",
-    "QcRecord",
-    "QcThreshold",
-    "Quadrant",
-    "REFERENCE_RATIO_THRESHOLD",
-    "RegressionLine",
-    "ResponseModel",
-    "TTestResult",
-    "ThresholdDerivation",
-    "Volume3D",
-    "VolumeDataError",
-    "VolumeFormatError",
-    "analyse_cohort",
-    "bce_loss",
-    "boundary_voxels",
-    "boxplot_summary",
-    "centroid",
-    "check_pair",
-    "combined_loss",
-    "combined_loss_grad",
-    "delta",
-    "derive_threshold",
-    "dice",
-    "export_annotation_batch",
-    "extract",
-    "fill_holes",
-    "fixed_threshold",
-    "focal_tversky_loss",
-    "generate",
-    "generate_cohort",
-    "gradient_check",
-    "hausdorff_mm",
-    "iou",
-    "largest_component",
-    "load_manifest",
-    "overlap_counts",
-    "paired_ttest",
-    "pearson",
-    "postprocess",
-    "quadrant_of",
-    "read_mask",
-    "read_volume",
-    "regrid_nearest",
-    "regression_line",
-    "run_cohort",
-    "select_extreme_outliers",
-    "sensitivity",
-    "student_t_two_sided_p",
-    "threshold_contrast_iterative",
-    "threshold_pct_suvmax",
-    "to_suv",
-    "tversky_index",
-    "write_mask",
-    "write_volume",
-]
+# every public name the imports above bind, submodules aside
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

@@ -165,9 +165,10 @@ _SEG_CONFIG = {
 def _load_seg_config(args) -> dict:
     """The segment settings: defaults, then the --config file, then the flags.
 
-    The parameters the method uses and the roi's syntax are checked here,
-    before any file is opened or made; the error names the config file when
-    the bad value came from it. The roi's bounds are checked per volume.
+    Every threshold parameter given, whatever the method, and the roi's
+    syntax are checked here, before any file is opened or made; the error
+    names the config file when the bad value came from it. The roi's bounds
+    are checked per volume.
     """
     cfg = {"method": "pct_suvmax", "pct": 0.5, "roi": None, "postprocess": True}
     from_file = {}
@@ -180,8 +181,7 @@ def _load_seg_config(args) -> dict:
         cfg["postprocess"] = False
     if cfg["method"] not in ("pct_suvmax", "contrast"):
         raise ParameterError(f"method must be 'pct_suvmax' or 'contrast', got {cfg['method']!r}")
-    params = ("pct",) if cfg["method"] == "pct_suvmax" else CONTRAST_PARAMS
-    for key in (*params, "roi"):
+    for key in ("pct", *CONTRAST_PARAMS, "roi"):
         if cfg.get(key) is None:
             continue
         named = key in from_file and key not in flags

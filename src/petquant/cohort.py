@@ -15,11 +15,12 @@ one reader of biomarkers from a volume file: it reads the volume with
 the mask's bounding box is widened to float64.
 
 `analyse_cohort` is the one analysis pass: it reads and quantifies every
-patient once, fixes the QC threshold and builds every `QcRecord`. `run_cohort`
-is the one writer over its result, for both the `qc` and the `report`
-command: it analyses, then writes. Every file's text, `stats.json` included,
-is computed before `out_dir` is made, so a run that fails leaves no file, and
-`qc_scatter.csv` is three columns of `qc_report.csv`'s rows.
+patient once, takes each pair's quadrants from `qc.pair_quadrants`, fixes the
+QC threshold and builds every `QcRecord`. `run_cohort` is the one writer over
+its result, for both the `qc` and the `report` command: it analyses, then
+writes. Every file's text, `stats.json` included, is computed before `out_dir`
+is made, so a run that fails leaves no file, and `qc_scatter.csv` is three
+columns of `qc_report.csv`'s rows.
 
 Each report row is one dict whose keys are its column names: `_csv` takes a
 CSV's header from the first row, and the JSON reports are dicts in key order.
@@ -49,7 +50,7 @@ from .qc import (
     QcThreshold,
     build_record,
     derive_threshold,
-    quadrant_on_grid,
+    pair_quadrants,
     select_extreme_outliers,
 )
 from .serialize import dumps_csv, dumps_json, write_text_atomic
@@ -179,7 +180,7 @@ class PatientQuant:
     followup: BiomarkerSet
     change: DeltaSet
     bl_quadrant: Quadrant | None
-    fu_quadrant: Quadrant | None  # both on the baseline grid; None: empty there
+    fu_quadrant: Quadrant | None  # both from qc.pair_quadrants; None: empty there
 
 
 def _quantify_one(entry: CohortEntry) -> PatientQuant:
@@ -188,8 +189,7 @@ def _quantify_one(entry: CohortEntry) -> PatientQuant:
     fu_mask = read_mask(entry.fu_mask)
     bl_bio = extract_file(entry.bl_volume, bl_mask, acq)
     fu_bio = extract_file(entry.fu_volume, fu_mask, acq)
-    bl_q = quadrant_on_grid(bl_mask, bl_mask.dims)
-    fu_q = quadrant_on_grid(fu_mask, bl_mask.dims)
+    bl_q, fu_q = pair_quadrants(bl_mask, fu_mask)
     return PatientQuant(entry, bl_bio, fu_bio, delta(bl_bio, fu_bio), bl_q, fu_q)
 
 

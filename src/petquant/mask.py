@@ -6,11 +6,11 @@ here is a pure function; masks are immutable and thread-safe to share.
 A lesion covers a tiny share of a PET grid, so the primitives that scan a
 mask (`centroid`, `boundary_voxels`, and `largest_component`/`fill_holes`
 as `segment.postprocess` calls them) work on the foreground's bounding box
-(`bounding_box`, found once per mask as `BinaryMask.box`) and paste
-full-grid results back. A sub-box keeps the logical (x, y, z) index order,
-whatever the memory layout, so labels, tie-breaks and coordinate order are
-those of the full grid. Full-grid masks made here take the layout of the
-grid they sit on.
+(`bounding_box`, found once per mask as `BinaryMask.box`; `grow_box` adds a
+margin where one is needed) and paste full-grid results back. A sub-box keeps
+the logical (x, y, z) index order, whatever the memory layout, so labels,
+tie-breaks and coordinate order are those of the full grid. Full-grid masks
+made here take the layout of the grid they sit on.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ class Centroid:
     quadrant: Quadrant
 
 
-def bounding_box(bits: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
-    """Slices of the foreground's bounding box grown by `margin` voxels and
-    clipped to the grid; None when `bits` has no foreground."""
+def bounding_box(bits: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """Slices of the foreground's bounding box, None when `bits` has no
+    foreground; `grow_box` adds a margin."""
     box = [slice(None)] * 3
     sub = bits
     # outermost memory axis first (largest stride): that pass, the only one
@@ -123,7 +123,7 @@ def bounding_box(bits: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice
         # narrow to the slab found so far
         sub = sub[(slice(None),) * axis + (slice(lo, hi),)]
         box[axis] = slice(lo, hi)
-    return grow_box((box[0], box[1], box[2]), margin, bits.shape)
+    return (box[0], box[1], box[2])
 
 
 def grow_box(box: tuple[slice, slice, slice], margin: int, dims) -> tuple[slice, slice, slice]:

@@ -1,10 +1,12 @@
 """Two-step longitudinal quality control.
 
 Step one checks that baseline and follow-up lesion centroids fall in the
-same axial quadrant; step two compares the pair's `DeltaSet.mtv_ratio`
-(infinite when a zero baseline MTV leaves it undefined) against a data-driven
-threshold (the reciprocal of the cohort mean ratio). Equality passes; only
-ratios strictly above the threshold are outliers.
+same axial quadrant. Quadrants are index-relative, so a pair is compared on
+the baseline grid; `pair_quadrants` is the one place that rule lives, for
+`check_pair` and the cohort pass alike. Step two compares the pair's
+`DeltaSet.mtv_ratio` (infinite when a zero baseline MTV leaves it undefined)
+against a data-driven threshold (the reciprocal of the cohort mean ratio).
+Equality passes; only ratios strictly above the threshold are outliers.
 The most extreme outliers can be exported as an annotation batch.
 """
 
@@ -89,11 +91,15 @@ def build_record(
     )
 
 
-def quadrant_on_grid(mask: BinaryMask, dims: tuple[int, int, int]) -> Quadrant | None:
-    """Centroid quadrant after a nearest regrid onto `dims` (quadrants are
-    index-relative, so a pair shares one grid); None when empty there."""
-    mask = regrid_nearest(mask, dims)
-    return None if mask.is_empty else centroid(mask).quadrant
+def pair_quadrants(
+    bl_mask: BinaryMask, fu_mask: BinaryMask
+) -> tuple[Quadrant | None, Quadrant | None]:
+    """Centroid quadrants of a baseline/follow-up pair on the baseline grid: the
+    follow-up is regridded (nearest) onto the baseline dims first, and spacing
+    may differ freely. None for a mask that is empty there."""
+    fu_mask = regrid_nearest(fu_mask, bl_mask.dims)
+    bl_q, fu_q = (None if m.is_empty else centroid(m).quadrant for m in (bl_mask, fu_mask))
+    return bl_q, fu_q
 
 
 def check_pair(
@@ -104,17 +110,13 @@ def check_pair(
     thr: QcThreshold,
     patient_id: str = "",
 ) -> QcRecord:
-    """Run both QC steps on one pair of segmentations.
-
-    Quadrants are index-relative, so differing matrix sizes are regridded
-    (nearest) onto the baseline dims first; spacing may differ freely.
-    """
+    """Run both QC steps on one pair of segmentations, on the quadrants
+    `pair_quadrants` gives."""
     if bl_mask.is_empty or fu_mask.is_empty:
         raise EmptyRegionError("QC needs non-empty baseline and follow-up masks")
-    fu_q = quadrant_on_grid(fu_mask, bl_mask.dims)
+    bl_q, fu_q = pair_quadrants(bl_mask, fu_mask)
     if fu_q is None:
         raise EmptyRegionError("follow-up mask vanished when regridded to baseline dims")
-    bl_q = centroid(bl_mask).quadrant
     return build_record(patient_id, bl_q, fu_q, delta(bl_bio, fu_bio), thr)
 
 

@@ -367,6 +367,9 @@ class TestSegment:
             (("--roi", "1,2,3"), "roi needs 6 integers"),
             (("--method", "contrast", "--max-iter", "0"), "max_iter must"),
             (("--method", "contrast", "--contrast-a", "1"), "a must"),
+            # a parameter the method does not use is range-checked all the same (each exited 0)
+            (("--contrast-a", "7", "--max-iter", "-3"), "a must be finite and > 0 and < 1, got 7.0"),
+            (("--method", "contrast", "--pct", "7"), "pct must be finite and > 0 and < 1, got 7.0"),
         ],
     )
     def test_bad_parameter_fails_before_any_file(
@@ -960,6 +963,9 @@ BAD_VALUES = [
     ("segment", _json({"method": "contrast", "max_iter": 0}), "max_iter must"),
     ("phantom", json.dumps({"cohort": {**_SMALL, "n": 10**29}}), "n must be finite and >= 1 and <= 10000"),
     ("phantom", json.dumps({"cohort": {**_SMALL, "n": 10**400}}), "n must"),
+    # a parameter the method does not use is range-checked all the same (each exited 0)
+    ("segment", _json({"a": 7, "max_iter": -3}), "a must be finite and > 0 and < 1, got 7.0"),
+    ("segment", _json({"method": "contrast", "pct": 7}), "pct must be finite and > 0 and < 1, got 7.0"),
 ]
 # BAD_VALUES comes last so the earlier cases keep their ids
 BAD_INPUTS = [(c, t, None) for c, t in BAD_JSON] + BAD_GRID + BAD_VALUES

@@ -424,7 +424,9 @@ class TestRunQc:
 
     def test_followup_on_finer_grid_matches_check_pair(self, tmp_path):
         # p1's follow-up sits at x = 7..9 of 16: its own-grid centroid (x = 8) is
-        # high-x, but on the baseline grid only x = 7 and 9 survive -> low-x
+        # high-x, but on the baseline grid only x = 7 and 9 survive (as 3 and 4
+        # of 8, centroid 3.5) -> low-x. p2's follow-up lands on x, y = 5 and 6 of
+        # 8, as its baseline does: high/high
         bl1 = [(1, 1, 1), (2, 1, 1)]
         fu1 = [(7, 1, 1), (8, 1, 1), (9, 1, 1)]
         bl2 = [(5, 5, 1), (6, 6, 2)]
@@ -434,12 +436,12 @@ class TestRunQc:
         run_cohort(load_manifest(manifest), tmp_path / "qc", threshold=thr)
         with open(tmp_path / "qc" / "qc_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["patient_id"] for r in rows] == ["p1", "p2"]
-        for row in rows:
-            want = check_pair(*_read_pair(tmp_path, row["patient_id"]), thr)
-            assert row["baseline_quadrant"] == want.baseline_quadrant.value
-            assert row["followup_quadrant"] == want.followup_quadrant.value
+        got = [(r["patient_id"], r["baseline_quadrant"], r["followup_quadrant"]) for r in rows]
+        assert got == [("p1", "Q1", "Q1"), ("p2", "Q3", "Q3")]  # worked by hand
         assert rows[0]["followup_quadrant"] == "Q1"  # not the own-grid Q2
+        for pid, bl_q, fu_q in got:
+            want = check_pair(*_read_pair(tmp_path, pid), thr)
+            assert (want.baseline_quadrant.value, want.followup_quadrant.value) == (bl_q, fu_q)
 
     def test_followup_empty_after_regrid_rejected(self, tmp_path):
         # the regrid samples odd follow-up indices only, so (8, 8, 2) vanishes

@@ -11,8 +11,12 @@ foreground bounding box (`mask.bounding_box`) and one pipeline volume reader
 (`nifti.read_stored`, which `read_mask`, `read_volume` and
 `cohort.extract_file` go through; only it calls `nifti._decode`) and one cohort
 writer (`cohort.run_cohort`, the only caller of `analyse_cohort` and
-`_write_files`, for both `qc` and `report`); new call sites use those instead
-of copies.
+`_write_files`, for both `qc` and `report`) and one pair-quadrant rule
+(`qc.pair_quadrants`, the only caller of `regrid_nearest`); new call sites use
+those instead of copies.
+
+The package's public names are its imports: `petquant.__all__` is derived
+from them, not restated.
 
 The benchmark's traced run wraps functions by name (`perfbench/replay.py`'s
 `LAYERS`), so each name it lists must exist.
@@ -41,9 +45,11 @@ refuses NaN and infinity; no module writes its own comparison and message.
 
 import ast
 import importlib
+import types
 from dataclasses import fields
 from pathlib import Path
 
+import petquant
 from petquant import cohort
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "petquant"
@@ -221,6 +227,30 @@ def test_one_bounding_box_routine():
     # and overlap_counts takes the hull of two masks' boxes
     callers = _callers("bounding_box")
     assert callers == ["mask.py:box"], callers
+
+
+def test_one_pair_quadrant_rule():
+    # quadrants are compared on the baseline grid; the cohort pass once
+    # restated that rule by regridding the baseline mask onto its own dims
+    assert _callers("regrid_nearest") == ["qc.py:pair_quadrants"], _callers("regrid_nearest")
+    hits = [c for c in _callers("centroid") if c.startswith("cohort.py:")]
+    assert hits == [], hits
+
+
+def test_public_names_are_the_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = sorted(
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    )
+    assert petquant.__all__ == imported
+    namespace: dict = {}
+    exec("from petquant import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    assert bound == set(imported)
+    assert not any(isinstance(namespace[k], types.ModuleType) for k in bound)
 
 
 def test_read_path_keeps_the_file_layout():

@@ -53,23 +53,35 @@ def sensitivity(gt: BinaryMask, pred: BinaryMask) -> float:
     return inter / n_gt
 
 
+# squared distances per block of src rows against all of dst: 1 MB of float64
+_BLOCK_ELEMENTS = 1 << 17
+
+
 def _directed_max_min_sq(
-    src: np.ndarray, dst: np.ndarray, spacing: tuple[float, float, float], chunk: int = 512
+    src: np.ndarray, dst: np.ndarray, spacing: tuple[float, float, float]
 ) -> float:
     """max over src of min over dst of squared Euclidean mm distance.
 
     The distance expression ((Δx·sx)² + (Δy·sy)² + (Δz·sz)², left to right)
     is kept identical to the brute-force oracle used in tests so results
-    agree bit-for-bit.
+    agree bit-for-bit. src is taken `_BLOCK_ELEMENTS // |dst|` rows at a
+    time (at least one), and each block's sum is built in place in that
+    order with one scratch array for the y and z terms: two blocks of at
+    most 1 MB while |dst| <= `_BLOCK_ELEMENTS`, whatever the row count.
     """
-    sx, sy, sz = spacing
     worst = 0.0
-    for start in range(0, src.shape[0], chunk):
-        block = src[start : start + chunk]
-        dx = (block[:, 0:1] - dst[None, :, 0]) * sx
-        dy = (block[:, 1:2] - dst[None, :, 1]) * sy
-        dz = (block[:, 2:3] - dst[None, :, 2]) * sz
-        d2 = dx * dx + dy * dy + dz * dz
+    rows = max(1, _BLOCK_ELEMENTS // len(dst))
+    for start in range(0, len(src), rows):
+        block = src[start : start + rows]
+        d2 = block[:, 0:1] - dst[:, 0]
+        d2 *= spacing[0]
+        d2 *= d2
+        term = np.empty_like(d2)
+        for axis in (1, 2):
+            np.subtract(block[:, axis : axis + 1], dst[:, axis], out=term)
+            term *= spacing[axis]
+            term *= term
+            d2 += term
         worst = max(worst, float(d2.min(axis=1).max()))
     return worst
 

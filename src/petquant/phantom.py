@@ -7,13 +7,17 @@ of one growth order (distance from the grid center, ties by linear index):
 the baseline sphere is its first N voxels, each follow-up blob exactly
 round(ratio·N) voxels, so the realized MTV ratio is a known rational.
 
-Follow-up counts are drawn before anything is written, and only the prefix
-of the growth order the largest count needs is sorted. Each noiseless volume
-and every mask is one encoded background payload with its lesion's cells set;
-the bytes are those of rasterizing and encoding the whole grid. Only the
-payload's span from the least lesion cell to the greatest is copied: a
-volume's file takes the shared background's own bytes around it, a mask's
-file has holes there.
+Follow-up counts are drawn before anything is written, and only the prefix of
+the growth order the largest count needs is sorted. That prefix comes from the
+lesion's box, not the grid: a box around the center whose half-width starts at
+the baseline radius and doubles until it holds that many voxel centers within
+the half-width, so it holds the prefix and every tie. No cohort builds a
+whole-grid distance field; `generate` does, because its profile covers the
+grid. Each noiseless volume and every mask is one encoded background payload
+with its lesion's cells set; the bytes are those of rasterizing and encoding
+the whole grid. Only the payload's span from the least lesion cell to the
+greatest is copied: a volume's file takes the shared background's own bytes
+around it, a mask's file has holes there.
 
 All randomness is seeded; per-patient streams derive from (seed, index) so
 parallel generation never changes the output bytes.
@@ -83,10 +87,14 @@ def _distance_mm_grid(
     dims: tuple[int, int, int],
     spacing: tuple[float, float, float],
     center: tuple[float, float, float],
+    origin: tuple[int, int, int] = (0, 0, 0),
 ) -> np.ndarray:
+    """Distances in mm from `center` (voxel units) of the voxel centers of the
+    `dims` box whose first voxel is `origin`; the box's values are those of
+    the whole grid's field there, bit for bit."""
     axes = [
-        ((np.arange(n, dtype=np.float64) - c) * s) ** 2
-        for n, s, c in zip(dims, spacing, center)
+        ((np.arange(o, o + n, dtype=np.float64) - c) * s) ** 2
+        for n, s, c, o in zip(dims, spacing, center, origin)
     ]
     return np.sqrt(axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :])
 
@@ -136,6 +144,30 @@ def _growth_prefix(d: np.ndarray, k: int) -> np.ndarray:
     only the voxels no farther than the k-th nearest sorted."""
     near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])  # ascending linear index
     return near[np.argsort(d[near], kind="stable")][:k]
+
+
+def _box_distances(dims, spacing, center, half_mm: float) -> tuple[np.ndarray, list]:
+    """Distances on the box from floor(c - half_mm/s) to ceil(c + half_mm/s)
+    on each axis, clipped to the grid, and the box's origin: the box holds
+    every voxel center within `half_mm` of `center`, however the division
+    rounds."""
+    lo = [max(0, math.floor(c - half_mm / s)) for c, s in zip(center, spacing)]
+    hi = [min(n, math.ceil(c + half_mm / s) + 1) for n, c, s in zip(dims, center, spacing)]
+    return _distance_mm_grid([b - a for a, b in zip(lo, hi)], spacing, center, lo), lo
+
+
+def _growth_order(dims, spacing, center, half_mm: float, k: int) -> np.ndarray:
+    """The whole grid's `np.argsort(d, kind="stable")[:k]`: the C-order linear
+    indices of the `k` voxel centers nearest `center`, ties by linear index.
+    They are sorted on the box of every voxel within `half_mm`, doubled until
+    it holds `k` of them or is the whole grid; then the k nearest, ties
+    included, lie in the box, and its C order is the grid's."""
+    while True:
+        d, origin = _box_distances(dims, spacing, center, half_mm)
+        if d.size == math.prod(dims) or np.count_nonzero(d <= half_mm) >= k:
+            local = np.unravel_index(_growth_prefix(d.ravel(), k), d.shape)
+            return np.ravel_multi_index([i + o for i, o in zip(local, origin)], dims)
+        half_mm *= 2
 
 
 @dataclass(frozen=True)
@@ -195,7 +227,7 @@ def generate_cohort(
     center = tuple((d - 1) / 2.0 for d in dims)
     lesion = LesionSpec(center, baseline_radius_mm, peak_suv, "uniform", background_suv, noise_sd, seed)
     _check_fits(lesion.center, lesion.radius_mm, dims, spacing)
-    d = _distance_mm_grid(dims, spacing, lesion.center).ravel()
+    d, _ = _box_distances(dims, spacing, lesion.center, lesion.radius_mm)
     bl_count = int(np.count_nonzero(d <= lesion.radius_mm))
     if bl_count == 0:
         raise LesionSpecError("baseline lesion covers no voxel center")
@@ -207,12 +239,11 @@ def generate_cohort(
     # fails before anything is written, and its noise later
     rngs = [np.random.default_rng([seed, i]) for i in range(n)]
     fu_counts = [
-        response.follow_up_count(rng, i in outlier_idx, bl_count, d.size)
+        response.follow_up_count(rng, i in outlier_idx, bl_count, math.prod(dims))
         for i, rng in enumerate(rngs)
     ]
     # a stable order breaks distance ties by linear index
-    growth = _growth_prefix(d, max(bl_count, *fu_counts))  # C-order linear indices
-    del d  # a float64 grid, not needed while writing
+    growth = _growth_order(dims, spacing, lesion.center, lesion.radius_mm, max(bl_count, *fu_counts))
     cells = np.ravel_multi_index(np.unravel_index(growth, dims), dims, order="F")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +292,9 @@ def generate_cohort(
     bl_mask = mask(bl_count)
     bl_volume = None  # a noisy baseline is drawn per patient
     if noise_sd == 0:
-        vol_header, background = encode_nifti(np.full(dims, bg_act), spacing, datatype=16)
+        # a constant grid: float32 and Fortran order from the start, so it is its own payload
+        background = np.full(dims, bg_act, dtype="<f4", order="F")
+        vol_header, background = encode_nifti(background, spacing, datatype=16)
         background = np.frombuffer(background, dtype="<f4")
         bl_volume = volume(bl_count, None)
 

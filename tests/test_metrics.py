@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,21 @@ class TestHausdorff:
         a = BinaryMask(bits, (2.5, 1.0, 1.0))
         b = translate(a, (1, 0, 0))
         assert hausdorff_mm(a, b) == 2.5
+
+    def test_large_boundaries_in_bounded_blocks(self):
+        # balls of 968 boundary voxels each: the distance blocks stay near
+        # 1 MB, where (512, 968) float64 blocks were 4 MB, seven at a time
+        g = np.indices((32, 32, 32)) - 15.5
+        a = BinaryMask((g * g).sum(axis=0) <= 100, (1.5, 1.0, 2.0))
+        b = translate(a, (3, 0, 0))
+        tracemalloc.start()
+        try:
+            got = hausdorff_mm(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 4.5  # a shift by 3 voxels of 1.5 mm: the ball's x extremes
+        assert peak < 4 << 20
 
     def test_empty_rejected(self):
         a = as_mask(np.zeros((2, 2, 2), bool))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -200,16 +201,23 @@ class TestGenerateCohort:
         assert _hash_dir(tmp_path / "a") == _hash_dir(tmp_path / "b")
 
     def test_one_distance_grid_per_cohort(self, tmp_path, monkeypatch):
-        calls = []
+        # distances are taken per cohort, not per patient, and on the lesion's
+        # box, not the grid: the largest lesion here fits a smaller box
+        dims, calls = (20, 20, 16), []
         original = phantom._distance_mm_grid
         monkeypatch.setattr(
-            phantom, "_distance_mm_grid", lambda *a: calls.append(a) or original(*a)
+            phantom, "_distance_mm_grid", lambda *a: calls.append(a[0]) or original(*a)
         )
-        generate_cohort(
-            3, ResponseModel(ratio_mean=0.5), seed=1, out_dir=tmp_path, dims=(20, 20, 16),
-            spacing=SPACING, baseline_radius_mm=12.0,
-        )
-        assert len(calls) == 1
+        shapes = []
+        for n in (1, 4):
+            calls.clear()
+            generate_cohort(
+                n, ResponseModel(ratio_mean=0.5), seed=1, out_dir=tmp_path / str(n), dims=dims,
+                spacing=SPACING, baseline_radius_mm=12.0,
+            )
+            shapes.append(list(calls))
+        assert shapes[0] == shapes[1]
+        assert shapes[0] and all(math.prod(box) < math.prod(dims) for box in shapes[0])
 
     def test_baseline_is_the_voxel_center_sphere(self, tmp_path):
         dims, radius = (21, 20, 16), 12.0
@@ -304,6 +312,37 @@ class TestGenerateCohort:
         d, k = np.sqrt(np.asarray(case[0], dtype=float)), case[1]
         want = np.argsort(d, kind="stable")[:k]
         np.testing.assert_array_equal(phantom._growth_prefix(d, k), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 11)] * 3),
+        st.tuples(*[st.sampled_from([0.7, 1.0, 1.3, 2.5, 4.0])] * 3),
+        st.data(),
+    )
+    def test_growth_order_on_the_box_is_the_whole_grid_order(self, dims, spacing, data):
+        # odd and even dims put the center on a voxel or between two; radii
+        # are drawn among the voxel distances too, and k up to the whole grid
+        # is the clamped outlier
+        center = tuple((n - 1) / 2.0 for n in dims)
+        full = phantom._distance_mm_grid(dims, spacing, center).ravel()
+        on_centers = sorted(set(full[full > 0].tolist())) or [1.0]
+        radius = data.draw(st.sampled_from(on_centers) | st.floats(0.05, 60.0))
+        k = data.draw(st.integers(1, full.size) | st.just(full.size))
+        box = phantom._box_distances(dims, spacing, center, radius)[0]
+        assert np.count_nonzero(box <= radius) == np.count_nonzero(full <= radius)
+        got = phantom._growth_order(dims, spacing, center, radius, k)
+        np.testing.assert_array_equal(got, np.argsort(full, kind="stable")[:k])
+
+    def test_cohort_allocates_no_grid_sized_float64(self, tmp_path):
+        # the float32 background payload (5.5 MB) and the empty mask (1.4 MB)
+        # are the only grid-sized arrays; a float64 grid alone is 10.9 MB
+        tracemalloc.start()
+        try:
+            generate_cohort(1, ResponseModel(0.1406), seed=5, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(Exception):

@@ -5,7 +5,9 @@ Two formats are supported:
 * a single-file NIfTI-1 subset: 348-byte little-endian header, magic
   ``n+1``, scalar datatypes uint8 / int16 / float32, ``scl_slope`` /
   ``scl_inter`` honored (slope 0 treated as 1), data located by
-  ``vox_offset`` and stored x-fastest;
+  ``vox_offset`` and stored x-fastest; 3-D, or 4-D to 7-D with every extent
+  past the third 1, and ``pixdim`` in mm (``xyzt_units`` spatial code 2, or
+  0 for unknown);
 * a JSON sidecar ``{dims, spacing_mm, unit, data}`` pointing at a raw
   little-endian float32 file, convenient for tests; ``data`` is a relative
   path without ``..`` and ``unit`` a known :class:`IntensityUnit` string.
@@ -138,8 +140,19 @@ def _decode_nifti(path: Path) -> tuple:
         if magic != _MAGIC.rstrip(b"\x00"):
             raise VolumeFormatError(f"{path}: bad field magic = {magic!r}, expected {_MAGIC!r}")
         ndim = int(hdr["dim"][0])
-        if ndim != 3:
+        if not 3 <= ndim <= 7:
             raise VolumeFormatError(f"{path}: bad field dim[0] = {ndim}, only 3D volumes supported")
+        for i in range(4, ndim + 1):  # a 4-D to 7-D header may only add extents of 1
+            if hdr["dim"][i] != 1:
+                raise VolumeFormatError(
+                    f"{path}: bad field dim[{i}] = {hdr['dim'][i]}, only 3D volumes supported"
+                )
+        units = int(hdr["xyzt_units"])
+        if units & 0x07 not in (0, 2):  # pixdim is read as mm: millimetres, or unknown
+            raise VolumeFormatError(
+                f"{path}: bad field xyzt_units = {units}, spatial unit code {units & 0x07}"
+                " is not mm (2) or unknown (0)"
+            )
         datatype = int(hdr["datatype"])
         if datatype not in _DTYPES:
             raise VolumeFormatError(

@@ -17,7 +17,12 @@ grid. Each noiseless volume and every mask is one encoded background payload
 with its lesion's cells set; the bytes are those of rasterizing and encoding
 the whole grid. Only the payload's span from the least lesion cell to the
 greatest is copied: a volume's file takes the shared background's own bytes
-around it, a mask's file has holes there.
+around it, a mask's file has holes there. A noisy volume is drawn from its
+patient's stream a slab of whole x planes at a time, each slab's lesion cells
+set and the slab cast into its thread's one float32 payload, which is written
+before it is refilled: no cohort holds a whole-grid float64 array, and the
+bytes are those of the whole-grid draw, since consecutive draws from one
+stream are that draw.
 
 All randomness is seeded; per-patient streams derive from (seed, index) so
 parallel generation never changes the output bytes.
@@ -26,6 +31,7 @@ parallel generation never changes the output bytes.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -47,6 +53,8 @@ DEFAULT_WEIGHT_KG = 60.0
 # a cohort plans every patient's random stream and follow-up count in memory
 # before it writes four full-grid files per patient
 MAX_COHORT = 10_000
+# a noisy volume is drawn in slabs of whole x planes, about this many draws each
+_SLAB_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -275,19 +283,33 @@ def generate_cohort(
         lo, hi, span = patched(empty, count, 1)
         return mask_header, lo, span, empty.size - hi
 
+    plane = dims[1] * dims[2]  # voxels per x plane: a C-order slab is whole planes
+    rows = max(1, _SLAB_DRAWS // plane)
+    local = threading.local()  # each thread's noisy payload, refilled per volume
+
     def volume(count: int, rng: np.random.Generator | None) -> tuple:
         """Chunks of a volume whose lesion is `count` voxels: without noise, the
-        shared background's bytes around its span."""
+        shared background's bytes around its span; with noise, the thread's
+        payload, refilled slab by slab from the patient's stream."""
         if noise_sd == 0:
             lo, hi, span = patched(background, count, peak_act)
             return vol_header, background[:lo], span, background[hi:]
-        values = rng.normal(0.0, noise_sd * suv_to_activity, dims)  # C order, as drawn
-        flat = values.reshape(-1)  # a view
-        # noise + base: addition commutes, so these are where(...) + noise's bits
-        lesion = flat[growth[:count]] + peak_act
-        values += bg_act
-        flat[growth[:count]] = lesion
-        return encode_nifti(values, spacing, datatype=16)
+        if not hasattr(local, "payload"):
+            local.payload = np.empty(dims, dtype="<f4", order="F")
+        lesion = np.sort(growth[:count])  # C indices, ascending
+        for a in range(0, dims[0], rows):
+            b = min(a + rows, dims[0])
+            # consecutive draws from one stream are its whole-grid draw, C order
+            noise = rng.normal(0.0, noise_sd * suv_to_activity, (b - a, *dims[1:]))
+            flat = noise.reshape(-1)  # a view
+            lo, hi = np.searchsorted(lesion, (a * plane, b * plane))
+            cells = lesion[lo:hi] - a * plane
+            # noise + base: addition commutes, so these are where(...) + noise's bits
+            peak = flat[cells] + peak_act
+            noise += bg_act
+            flat[cells] = peak
+            local.payload[a:b] = noise  # the float32 cast, into x-fastest order
+        return encode_nifti(local.payload, spacing, datatype=16)  # the payload itself
 
     bl_mask = mask(bl_count)
     bl_volume = None  # a noisy baseline is drawn per patient

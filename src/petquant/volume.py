@@ -58,13 +58,34 @@ def check_grid(dims, spacing, names=("dims", "spacing")) -> tuple[float, float, 
     return mm  # type: ignore[return-value]
 
 
+# the finite check scans about this many voxels at a time: a 128 kB bool block
+_FINITE_BLOCK = 1 << 17
+
+
 def check_finite(grid: np.ndarray) -> None:
     """The one non-finite voxel check, in `grid`'s own dtype: VolumeDataError
     names the first bad (x, y, z) in C index order, whatever the layout. An
-    integer grid cannot hold NaN or infinity and is not scanned."""
-    if grid.dtype.kind not in "iu" and not np.isfinite(grid).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(grid))[0])
-        raise VolumeDataError(f"non-finite voxel value at index {idx}")
+    integer grid cannot hold NaN or infinity and is not scanned. A float grid
+    whose sum is finite holds neither; one whose sum is not (an overflow gives
+    that too) is scanned in blocks of whole planes along its outermost memory
+    axis. Neither step makes a whole-grid temporary or copies a view."""
+    if grid.dtype.kind in "iu":
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        if np.isfinite(np.add.reduce(grid, axis=None)):
+            return
+    axis = int(np.argmax(np.abs(grid.strides)))
+    step = max(1, _FINITE_BLOCK * grid.shape[axis] // grid.size)
+    box, first = [slice(None)] * grid.ndim, None
+    for a in range(0, grid.shape[axis], step):
+        box[axis] = slice(a, a + step)
+        ok = np.isfinite(grid[tuple(box)])
+        if not ok.all():  # the block's first bad voxel in C order; the least of them is the grid's
+            idx = [int(i) for i in np.unravel_index(np.argmin(ok), ok.shape)]
+            idx[axis] += a
+            first = min(first or tuple(idx), tuple(idx))
+    if first is not None:
+        raise VolumeDataError(f"non-finite voxel value at index {first}")
 
 
 def voxel_volume_cm3(spacing: tuple[float, float, float]) -> float:

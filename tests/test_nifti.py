@@ -1,4 +1,5 @@
 import json
+import math
 import mmap
 import os
 import struct
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from petquant import nifti
+from petquant.cli import main
 from petquant import (
     BinaryMask,
     IntensityUnit,
@@ -266,6 +268,80 @@ class TestHeaderValidation:
         side.write_text(json.dumps(meta))
         with pytest.raises(VolumeFormatError, match=field):
             read_volume(side)
+
+
+def _hand_nifti(dim, xyzt_units=2) -> bytes:
+    """A float32 NIfTI-1 file built field by field, not by the package's
+    writer: `dim` is dim[0..7], pixdim (4, 3, 2) mm, voxels 0, 1, 2, ... x-fastest."""
+    hdr = bytearray(VOX_OFFSET)
+    struct.pack_into("<i", hdr, 0, HEADER_SIZE)
+    struct.pack_into("<8h", hdr, 40, *dim)
+    struct.pack_into("<2h", hdr, 70, 16, 32)  # datatype float32, bitpix
+    struct.pack_into("<4f", hdr, 76, 1.0, 4.0, 3.0, 2.0)  # pixdim[0..3]
+    struct.pack_into("<2f", hdr, 108, VOX_OFFSET, 1.0)  # vox_offset, scl_slope
+    hdr[123] = xyzt_units
+    hdr[344:348] = b"n+1\0"
+    return bytes(hdr) + np.arange(math.prod(dim[1:4]), dtype="<f4").tobytes()
+
+
+class TestHeaderMeaning:
+    # xyzt_units: the low three bits are the spatial unit, the next three time
+    @pytest.mark.parametrize("units", [2, 0, 2 | 8, 2 | 24, 0 | 16])
+    @pytest.mark.parametrize(
+        "dim0, extra", [(3, (1,) * 4), (3, (5, 0, 9, -1)), (4, (1,) * 4), (7, (1,) * 4)]
+    )
+    def test_mm_or_unknown_units_and_singleton_extents_read(self, tmp_path, units, dim0, extra):
+        # extents past dim[0] are unused, so only dim[4..dim[0]] must be 1
+        path = tmp_path / "v.nii"
+        path.write_bytes(_hand_nifti((dim0, 2, 3, 4, *extra), units))
+        vol = read_volume(path)
+        assert vol.spacing == (4.0, 3.0, 2.0)
+        want = np.arange(24, dtype=float).reshape((2, 3, 4), order="F")
+        np.testing.assert_array_equal(vol.values, want)
+
+    @pytest.mark.parametrize("units", [1, 3, 1 | 8, 4, 7])
+    def test_other_spatial_units_refused(self, tmp_path, units):
+        # metres (1) with pixdim in mm would make MTV wrong by 10^9, microns (3) by 10^-9
+        path = tmp_path / "v.nii"
+        path.write_bytes(_hand_nifti((3, 2, 3, 4, 1, 1, 1, 1), units))
+        for reader in (read_volume, read_mask, nifti.read_stored):
+            with pytest.raises(VolumeFormatError) as err:
+                reader(path)
+            assert str(err.value) == (
+                f"{path}: bad field xyzt_units = {units}, spatial unit code {units & 7}"
+                " is not mm (2) or unknown (0)"
+            )
+
+    @pytest.mark.parametrize(
+        "dim, field",
+        [
+            ((4, 2, 3, 4, 2, 1, 1, 1), "dim[4] = 2"),
+            ((5, 2, 3, 4, 1, 3, 1, 1), "dim[5] = 3"),
+            ((7, 2, 3, 4, 1, 1, 1, 0), "dim[7] = 0"),
+            ((6, 2, 3, 4, 1, 1, -1, 1), "dim[6] = -1"),
+            ((8, 2, 3, 4, 1, 1, 1, 1), "dim[0] = 8"),
+            ((2, 2, 3, 4, 1, 1, 1, 1), "dim[0] = 2"),
+        ],
+    )
+    def test_extra_extents_refused(self, tmp_path, dim, field):
+        path = tmp_path / "v.nii"
+        path.write_bytes(_hand_nifti(dim))
+        with pytest.raises(VolumeFormatError) as err:
+            read_volume(path)
+        assert str(err.value) == f"{path}: bad field {field}, only 3D volumes supported"
+
+    def test_refused_units_exit_2_with_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "v.nii"
+        path.write_bytes(_hand_nifti((3, 2, 3, 4, 1, 1, 1, 1), 1))
+        code = main(["quantify", str(path), str(path), "--json-errors"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert json.loads(line) == {
+            "error": "input error",
+            "type": "VolumeFormatError",
+            "message": f"{path}: bad field xyzt_units = 1, spatial unit code 1"
+            " is not mm (2) or unknown (0)",
+        }
 
 
 class TestIntegerDatatypes:

@@ -251,8 +251,9 @@ class TestGenerateCohort:
         assert not isinstance(cohort.value, LesionSpecError)
         assert not (tmp_path / "o").exists()
 
-    # noiseless, noisy, and outliers (one clamped to the grid) on odd-sized,
-    # anisotropic grids
+    # noiseless, noisy, outliers (one clamped to the grid), and a noisy draw
+    # in slabs of three x planes, the last of two, on odd-sized, anisotropic
+    # grids
     RASTER_CASES = {
         "noiseless": dict(
             n=4, response=ResponseModel(0.6, 0.2), seed=3, dims=(17, 14, 11),
@@ -266,12 +267,20 @@ class TestGenerateCohort:
             n=5, response=ResponseModel(0.5, 0.1, 0.4, 1e308), seed=11, dims=(12, 13, 10),
             spacing=SPACING, baseline_radius_mm=8.0, noise_sd=1.0, background_suv=0.0,
         ),
+        "slabs": dict(
+            n=3, response=ResponseModel(0.7, 0.3, 0.34, 3.0), seed=13, dims=(8, 150, 270),
+            spacing=(4.0, 1.5, 2.0), baseline_radius_mm=9.0, noise_sd=0.8, background_suv=0.0,
+        ),
     }
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("case", sorted(RASTER_CASES))
     def test_files_equal_the_whole_grid_raster(self, tmp_path, case, threads):
         kw = self.RASTER_CASES[case]
+        if case == "slabs":  # several slabs, the last one partial
+            nx, ny, nz = kw["dims"]
+            rows = phantom._SLAB_DRAWS // (ny * nz)
+            assert rows < nx and nx % rows
         generate_cohort(out_dir=tmp_path, threads=threads, **kw)
         want = naive_cohort_files(
             tmp_path,
@@ -343,6 +352,18 @@ class TestGenerateCohort:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    def test_noisy_cohort_allocates_no_grid_sized_float64(self, tmp_path):
+        # a noisy volume is drawn in slabs into the thread's one float32
+        # payload (5.5 MB); the empty mask (1.4 MB) is the only other
+        # grid-sized array, and a float64 draw of the grid alone is 10.9 MB
+        tracemalloc.start()
+        try:
+            generate_cohort(4, ResponseModel(0.1406), seed=5, out_dir=tmp_path, noise_sd=1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(Exception):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from petquant import (
     Volume3D,
     VolumeDataError,
     to_suv,
+    volume,
 )
 
 
@@ -47,6 +50,68 @@ class TestVolume3D:
         assert vol.values[0, 0, 0] == 0.0
         with pytest.raises(ValueError):
             vol.values[0, 0, 0] = 1.0
+
+
+class TestCheckFinite:
+    # 691,200 voxels: a whole-grid bool temporary alone is 0.66 MB
+    DIMS = (72, 96, 100)
+
+    @staticmethod
+    def grid(layout):
+        """A zero float32 grid and its outermost memory axis."""
+        if layout == "box":  # a non-contiguous view, as Volume3D.widen takes
+            big = np.zeros([n + 9 for n in TestCheckFinite.DIMS], dtype=np.float32, order="F")
+            return big[4:-5, 2:-7, 8:-1], 2
+        grid = np.zeros(TestCheckFinite.DIMS, dtype=np.float32, order=layout)
+        return grid, "CF".index(layout) * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last", "edge_before", "edge_after", "both_edges"])
+    @pytest.mark.parametrize("layout", ["C", "F", "box"])
+    def test_first_bad_voxel_in_bounded_blocks(self, layout, where, bad):
+        grid, axis = self.grid(layout)
+        shape = grid.shape
+        step = volume._FINITE_BLOCK // (grid.size // shape[axis])  # planes per block
+        assert 1 < step < shape[axis]
+        # either side of the first block edge: the plane before it at the far
+        # corner, the plane after it at the near one; with both set, the C-first
+        # lies in the second block unless the blocks run along x
+        before = [n - 1 for n in shape]
+        after = [0, 0, 0]
+        before[axis], after[axis] = step - 1, step
+        places = {
+            "first": [(0, 0, 0)],
+            "last": [tuple(n - 1 for n in shape)],
+            "edge_before": [tuple(before)],
+            "edge_after": [tuple(after)],
+            "both_edges": [tuple(before), tuple(after)],
+        }[where]
+        for place in places:
+            grid[place] = bad
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(grid))[0])  # the whole-grid answer
+        tracemalloc.start()
+        try:
+            with pytest.raises(VolumeDataError) as err:
+                volume.check_finite(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"non-finite voxel value at index {idx}"
+        assert peak < 1 << 19
+
+    @pytest.mark.parametrize("fill", [0.0, 3e38])
+    @pytest.mark.parametrize("layout", ["C", "F", "box"])
+    def test_finite_grid_passes_in_bounded_blocks(self, layout, fill):
+        # 3e38 is finite in float32, but the grid's float32 sum overflows
+        grid = self.grid(layout)[0]
+        grid[...] = fill
+        tracemalloc.start()
+        try:
+            volume.check_finite(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
 
 
 class TestToSuv:

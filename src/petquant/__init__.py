@@ -56,7 +56,6 @@ from .qc import (
     QcThreshold,
     REFERENCE_RATIO_THRESHOLD,
     ThresholdDerivation,
-    check_pair,
     derive_threshold,
     fixed_threshold,
     select_extreme_outliers,

@@ -1,26 +1,23 @@
 """SUV/MTV/TLG extraction from a volume+mask pair and longitudinal deltas.
 
 MTV is voxel count times voxel volume in cm³; TLG = SUVmean · MTV (SUV·cm³).
-Degenerate cases (empty mask, zero baselines) are flagged through the
-``warnings`` field rather than raised. Cohort QC still needs a lesion in every
-mask: `cohort.analyse_cohort` refuses a patient with an empty mask by name,
-so `cohort.run_cohort` (the `qc` and `report` commands) stops before writing
-any file.
+`extract` reads a `volume.Volume3D`, or a `volume.StoredVolume` of which it
+widens only the mask's bounding box. Degenerate cases (empty mask, zero
+baselines) are flagged through the ``warnings`` field rather than raised.
+Cohort QC still needs a lesion in every mask: `cohort.analyse_cohort`
+refuses a patient with an empty mask by name, so `cohort.run_cohort` (the
+`qc` and `report` commands) stops before writing any file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IntensityUnitError, VolumeDataError
 from .mask import BinaryMask, require_same_geometry
-from .volume import AcquisitionInfo, IntensityUnit, Volume3D
-
-if TYPE_CHECKING:
-    from .nifti import StoredVolume
+from .volume import AcquisitionInfo, IntensityUnit, StoredVolume, Volume3D
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ def extract(
     """Biomarkers over the masked region of an SUV volume or, given `acq`, of
     an activity-concentration volume (kBq/mL) in body-weight SUV.
 
-    `vol` may be a volume file as stored (`nifti.StoredVolume`): only the
+    `vol` may be a volume file as stored (`StoredVolume`): only the
     mask's bounding box is widened to float64, and the result is that of the
     whole volume widened. Only the masked voxels are scaled, each by
     `acq.suv_scale` as `to_suv` scales every voxel, so the values are

@@ -166,9 +166,10 @@ def _load_seg_config(args) -> dict:
     """The segment settings: defaults, then the --config file, then the flags.
 
     Every threshold parameter given, whatever the method, and the roi's
-    syntax are checked here, before any file is opened or made; the error
-    names the config file when the bad value came from it. The roi's bounds
-    are checked per volume.
+    syntax are range-checked here, before any file is opened or made; then a
+    parameter given (by flag or config key) that the method does not use is
+    refused. An error names the config file when the bad value came from it.
+    The roi's bounds are checked per volume.
     """
     cfg = {"method": "pct_suvmax", "pct": 0.5, "roi": None, "postprocess": True}
     from_file = {}
@@ -181,16 +182,31 @@ def _load_seg_config(args) -> dict:
         cfg["postprocess"] = False
     if cfg["method"] not in ("pct_suvmax", "contrast"):
         raise ParameterError(f"method must be 'pct_suvmax' or 'contrast', got {cfg['method']!r}")
+
+    def where(key):  # names the config file when the value came from it
+        return _naming(args.config) if key in from_file and key not in flags else nullcontext()
+
     for key in ("pct", *CONTRAST_PARAMS, "roi"):
         if cfg.get(key) is None:
             continue
-        named = key in from_file and key not in flags
-        with _naming(args.config) if named else nullcontext():
+        with where(key):
             if key == "roi":
                 _roi_bounds(cfg[key])
             else:
                 check_param(key, cfg[key])
+    unused = ("pct",) if cfg["method"] == "contrast" else CONTRAST_PARAMS
+    for key in (k for k in unused if k in from_file or k in flags):
+        with where(key):
+            raise ParameterError(f"{key} is not a parameter of method {cfg['method']}")
     return cfg
+
+
+def _batch_mode(command: str, single: tuple, batch: tuple, usage: str) -> bool:
+    """True when every `batch` argument is given and no `single` one, False for
+    the reverse; any other mix is a UsageError, before anything is read."""
+    if not (all(batch) and not any(single) or all(single) and not any(batch)):
+        raise UsageError(f"{command}: needs exactly one of {usage}")
+    return all(batch)
 
 
 def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
@@ -205,10 +221,10 @@ def _segment_file(vol_path, mask_path, cfg: dict) -> dict:
 
 
 def _cmd_segment(args) -> int:
+    modes = (args.volume, args.out), (args.manifest, args.out_dir)
+    batch = _batch_mode("segment", *modes, "VOLUME --out or --manifest --out-dir")
     cfg = _load_seg_config(args)
-    if args.manifest:
-        if not args.out_dir:
-            raise UsageError("segment: --manifest requires --out-dir")
+    if batch:
         entries = cohort_mod.load_manifest(args.manifest)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -229,8 +245,6 @@ def _cmd_segment(args) -> int:
         _emit({"manifest": str(manifest_path), "patients": len(rows)}, None)
         return 0
 
-    if not args.volume or not args.out:
-        raise UsageError("segment: single mode needs VOLUME and --out")
     info = _segment_file(args.volume, args.out, cfg)
     info["mask"] = args.out
     _emit(info, None)
@@ -270,7 +284,7 @@ def _compare_pair(a: BinaryMask, b: BinaryMask) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    if args.batch:
+    if _batch_mode("compare", (args.gt, args.pred), (args.batch,), "GT PRED or --batch"):
         base = Path(args.batch).parent
 
         def compare_row(row: dict) -> list:
@@ -282,8 +296,6 @@ def _cmd_compare(args) -> int:
         _emit(dumps_csv(["pair_id", *_METRICS], rows), args.out)
         return 0
 
-    if not args.gt or not args.pred:
-        raise UsageError("compare: needs GT and PRED mask paths")
     _emit(_compare_pair(read_mask(args.gt), read_mask(args.pred)), args.out)
     return 0
 

@@ -15,12 +15,14 @@ one reader of biomarkers from a volume file: it reads the volume with
 the mask's bounding box is widened to float64.
 
 `analyse_cohort` is the one analysis pass: it reads and quantifies every
-patient once, takes each pair's quadrants from `qc.pair_quadrants`, fixes the
-QC threshold and builds every `QcRecord`. `run_cohort` is the one writer over
-its result, for both the `qc` and the `report` command: it analyses, then
-writes. Every file's text, `stats.json` included, is computed before `out_dir`
-is made, so a run that fails leaves no file, and `qc_scatter.csv` is three
-columns of `qc_report.csv`'s rows.
+patient once (`_quantify_one` takes each pair's quadrants from
+`qc.pair_quadrants`), refuses a patient with an empty mask by name, fixes the
+QC threshold and builds every `QcRecord` with `qc.build_record`: the
+package's one per-pair QC path. `run_cohort` is the one writer over its
+result, for both the `qc` and the `report` command: it analyses, then
+writes. Every file's text, `stats.json` included, is computed before
+`out_dir` is made, so a run that fails leaves no file, and `qc_scatter.csv`
+is three columns of `qc_report.csv`'s rows.
 
 Each report row is one dict whose keys are its column names: `_csv` takes a
 CSV's header from the first row, and the JSON reports are dicts in key order.

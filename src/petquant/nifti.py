@@ -14,16 +14,15 @@ Two formats are supported:
 
 A bad header or sidecar field raises ``VolumeFormatError`` naming it (checked
 before the payload is opened), an unusable payload ``VolumeDataError``; the
-CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats,
-except that ``write_mask`` hands a NIfTI mask's chunks to the writer itself;
-``encode_nifti`` is the one NIfTI encoder. Writes are atomic. Volumes are
-written as float32, masks as uint8 0/1.
+CLI exits 2 for both. ``_decode`` reads and ``_write`` writes both formats;
+``encode_nifti`` is the one NIfTI encoder and ``_write`` its one caller here.
+Writes are atomic. Volumes are written as float32, masks as uint8 0/1.
 
 ``read_stored`` is the one volume reader, ``_decode``'s one caller: it checks
-the whole grid in its stored dtype and returns it as a ``StoredVolume``,
-which widens to float64 only the box it is asked for. ``read_volume`` is its
-volume widened whole; pipeline reads widen boxes only. ``read_mask`` is
-``read_stored``'s values compared with zero.
+the whole grid in its stored dtype and returns it as a
+``volume.StoredVolume``, which widens to float64 only the box it is asked
+for. ``read_volume`` is its volume widened whole; pipeline reads widen boxes
+only. ``read_mask`` is ``read_stored``'s values compared with zero.
 
 Grids stay in file order: a volume or mask read here is an F-contiguous
 (x-fastest) array, as the payload is stored, so reading widens without a
@@ -36,8 +35,8 @@ the file's pages, and a map that fails is a ``VolumeDataError``. The map
 keeps the file that was opened, so replacing the file by rename, as every
 writer here does, leaves a grid already read unchanged. A file truncated in
 place while a grid of it is still in use is another matter: touching the
-lost pages raises SIGBUS, which kills the process. Masks are written with
-holes for the zero bytes outside their foreground's span (see
+lost pages raises SIGBUS, which kills the process. A NIfTI mask is written
+with holes for the zero bytes outside its foreground's span (see
 ``serialize.write_bytes_atomic``).
 """
 
@@ -47,7 +46,6 @@ import json
 import mmap
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +53,7 @@ import numpy as np
 from .errors import IntensityUnitError, ParameterError, VolumeDataError, VolumeFormatError, check_real
 from .mask import BinaryMask
 from .serialize import write_bytes_atomic
-from .volume import IntensityUnit, Volume3D, _Grid, check_finite, check_grid
+from .volume import IntensityUnit, StoredVolume, Volume3D, check_finite, check_grid
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extender
@@ -234,15 +232,6 @@ def _decode(path: Path) -> tuple:
         raise VolumeFormatError(f"{path}: bad field {exc}") from None
 
 
-def _to_volume(grid: np.ndarray, spacing, slope: float, inter: float, unit) -> Volume3D:
-    values = grid.astype(np.float64, order="K")  # one pass, the file's layout kept
-    if slope != 1.0 or inter != 0.0:
-        values *= slope
-        values += inter
-    values.flags.writeable = False
-    return Volume3D(values, spacing, unit)
-
-
 def _nifti_header(shape: tuple[int, ...], spacing, datatype: int) -> bytes:
     hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = HEADER_SIZE
@@ -277,10 +266,16 @@ def encode_nifti(values: np.ndarray, spacing, datatype: int) -> tuple[bytes, mem
     return _nifti_header(values.shape, spacing, datatype), memoryview(data).cast("B")
 
 
-def _write(path: Path, values: np.ndarray, spacing, datatype: int, unit: IntensityUnit) -> None:
-    """The one writer: NIfTI stores `datatype`; a sidecar stores float32 raw data."""
+def _write(
+    path: Path, values: np.ndarray, spacing, datatype: int, unit: IntensityUnit, span=None
+) -> None:
+    """The one writer: NIfTI stores `datatype`; a sidecar stores float32 raw data.
+    Of a NIfTI payload only the bytes `span` (lo, hi) are written, those before
+    and after it being holes; no span writes the whole payload."""
     if _format(path) == ".nii":
-        write_bytes_atomic(path, *encode_nifti(values, spacing, datatype))
+        header, payload = encode_nifti(values, spacing, datatype)
+        lo, hi = span or (0, len(payload))
+        write_bytes_atomic(path, header, lo, payload[lo:hi], len(payload) - hi)
         return
     raw = path.with_suffix(".raw")
     meta = {"dims": list(values.shape), "spacing_mm": list(spacing), "unit": unit.value}
@@ -305,35 +300,6 @@ def read_volume(path: str | os.PathLike, unit: IntensityUnit | None = None) -> V
     It is `read_stored`'s volume, checks included, widened whole to float64.
     """
     return read_stored(path, unit).widen()
-
-
-@dataclass(frozen=True)
-class StoredVolume(_Grid):
-    """A volume file as stored: its (nx, ny, nz) grid, read-only and x-fastest
-    in the stored dtype (uint8, int16 or float32; `read_stored` has checked
-    every voxel finite), its spacing and unit, and the scl slope and
-    intercept that map it to values."""
-
-    grid: np.ndarray
-    spacing: tuple[float, float, float]
-    unit: IntensityUnit
-    slope: float = 1.0
-    inter: float = 0.0
-
-    _ARRAY = "grid"
-
-    @property
-    def values(self) -> np.ndarray:
-        """The voxel values exactly: the stored grid itself when the scl map is
-        the identity, else the whole grid widened to float64."""
-        if self.slope == 1.0 and self.inter == 0.0:
-            return self.grid
-        return self.widen().values
-
-    def widen(self, box: tuple[slice, slice, slice] | None = None) -> Volume3D:
-        """The float64 volume of the whole grid or of its `box`."""
-        grid = self.grid if box is None else self.grid[box]
-        return _to_volume(grid, self.spacing, self.slope, self.inter, self.unit)
 
 
 def read_stored(path: str | os.PathLike, unit: IntensityUnit | None = None) -> StoredVolume:
@@ -366,13 +332,8 @@ def write_mask(mask: BinaryMask, path: str | os.PathLike) -> None:
     NIfTI payload only the span from the x-fastest index of the foreground
     box's first corner to its last is written; the zero bytes around it are
     holes, and an empty mask is a header and one hole."""
-    path = Path(path)
-    if _format(path) != ".nii":
-        _write(path, mask.bits, mask.spacing, 2, IntensityUnit.ARBITRARY)
-        return
-    header, payload = encode_nifti(mask.bits, mask.spacing, 2)  # F-ordered bits: no copy
     lo = hi = 0
     if mask.box is not None:
         lo = np.ravel_multi_index([s.start for s in mask.box], mask.dims, order="F")
         hi = np.ravel_multi_index([s.stop - 1 for s in mask.box], mask.dims, order="F") + 1
-    write_bytes_atomic(path, header, lo, payload[lo:hi], len(payload) - hi)
+    _write(Path(path), mask.bits, mask.spacing, 2, IntensityUnit.ARBITRARY, (lo, hi))

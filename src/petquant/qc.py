@@ -2,12 +2,17 @@
 
 Step one checks that baseline and follow-up lesion centroids fall in the
 same axial quadrant. Quadrants are index-relative, so a pair is compared on
-the baseline grid; `pair_quadrants` is the one place that rule lives, for
-`check_pair` and the cohort pass alike. Step two compares the pair's
-`DeltaSet.mtv_ratio` (infinite when a zero baseline MTV leaves it undefined)
-against a data-driven threshold (the reciprocal of the cohort mean ratio).
-Equality passes; only ratios strictly above the threshold are outliers.
-The most extreme outliers can be exported as an annotation batch.
+the baseline grid; `pair_quadrants` is the one place that rule lives. Step
+two compares the pair's `DeltaSet.mtv_ratio` (infinite when a zero baseline
+MTV leaves it undefined) against a data-driven threshold (the reciprocal of
+the cohort mean ratio). Equality passes; only ratios strictly above the
+threshold are outliers. The most extreme outliers can be exported as an
+annotation batch.
+
+One pair's QC is `pair_quadrants`, then `build_record` on its quadrants,
+the pair's `biomarkers.delta` and the threshold; the cohort pass
+(`cohort.analyse_cohort`) runs exactly that, and refuses a patient whose
+mask is empty on the baseline grid (a None quadrant) by name.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .biomarkers import BiomarkerSet, DeltaSet, delta
-from .errors import DegenerateInputError, EmptyRegionError, check_real
+from .biomarkers import DeltaSet
+from .errors import DegenerateInputError, check_real
 from .mask import BinaryMask, Quadrant, centroid, regrid_nearest
 
 # Threshold derived on the original 180-scan clinical cohort; shipped as a
@@ -100,24 +105,6 @@ def pair_quadrants(
     fu_mask = regrid_nearest(fu_mask, bl_mask.dims)
     bl_q, fu_q = (None if m.is_empty else centroid(m).quadrant for m in (bl_mask, fu_mask))
     return bl_q, fu_q
-
-
-def check_pair(
-    bl_mask: BinaryMask,
-    fu_mask: BinaryMask,
-    bl_bio: BiomarkerSet,
-    fu_bio: BiomarkerSet,
-    thr: QcThreshold,
-    patient_id: str = "",
-) -> QcRecord:
-    """Run both QC steps on one pair of segmentations, on the quadrants
-    `pair_quadrants` gives."""
-    if bl_mask.is_empty or fu_mask.is_empty:
-        raise EmptyRegionError("QC needs non-empty baseline and follow-up masks")
-    bl_q, fu_q = pair_quadrants(bl_mask, fu_mask)
-    if fu_q is None:
-        raise EmptyRegionError("follow-up mask vanished when regridded to baseline dims")
-    return build_record(patient_id, bl_q, fu_q, delta(bl_bio, fu_bio), thr)
 
 
 def select_extreme_outliers(records: list[QcRecord], k: int) -> list[str]:

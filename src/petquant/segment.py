@@ -18,7 +18,7 @@ logical (x, y, z) index order, whatever the memory layout, so masked values,
 the first-argmax seed and `mean`'s pairwise sum come out in the same order.
 
 Without an ROI, `threshold_pct_suvmax` also takes a file's grid as stored
-(`nifti.StoredVolume`) and compares it in its stored dtype against the
+(`volume.StoredVolume`) and compares it in its stored dtype against the
 least stored value at or above pct · max: the mask of widening every voxel
 to float64 first, without the widening.
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
@@ -47,10 +46,7 @@ from .mask import (
     paste,
     require_same_geometry,
 )
-from .volume import Volume3D
-
-if TYPE_CHECKING:
-    from .nifti import StoredVolume
+from .volume import StoredVolume, Volume3D
 
 CONTRAST_PARAMS = ("a", "b", "tol", "max_iter")  # a setting left out takes its default
 DEFAULT_CONTRAST_A = 0.39
@@ -95,7 +91,7 @@ def threshold_pct_suvmax(
     Never empty.
 
     With no ROI, `vol` may also be a volume file as stored
-    (`nifti.StoredVolume`): an unscaled grid is compared in its stored dtype,
+    (`StoredVolume`): an unscaled grid is compared in its stored dtype,
     with the float64 comparison's result, and is never widened."""
     if roi is not None:
         require_same_geometry(vol, roi)

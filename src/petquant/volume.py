@@ -1,10 +1,14 @@
 """3D volume data model and SUV conversion.
 
-A :class:`Volume3D` is an immutable dense scalar grid with physical voxel
-spacing in mm and a declared intensity unit. All statistics run in float64;
-float32 appears only at the file boundary (see :mod:`petquant.nifti`) and
-in the no-ROI percentage threshold, which compares a file's stored grid
-with float64's result (see :mod:`petquant.segment`).
+The package's two volume types live here. A :class:`Volume3D` is an immutable
+dense float64 grid with physical voxel spacing in mm and a declared
+intensity unit; all statistics run on one. A :class:`StoredVolume` is a
+volume file as `nifti.read_stored` gives it: the grid in its stored dtype
+with the scl slope and intercept, widened to a `Volume3D` (whole, or one
+box) only where values are read. Stored dtypes appear only at the file
+boundary (see :mod:`petquant.nifti`) and in the no-ROI percentage
+threshold, which compares a stored grid with float64's result (see
+:mod:`petquant.segment`).
 Grids keep the memory layout they are given, C- or F-contiguous: a volume
 read from a file stays in the file's x-fastest order.
 """
@@ -137,8 +141,43 @@ class Volume3D(_Grid):
         self._store(arr, spacing)
 
     def widen(self, box: tuple[slice, slice, slice]) -> Volume3D:
-        """The volume of `box`, as `nifti.StoredVolume.widen` gives it."""
+        """The volume of `box`, as `StoredVolume.widen` gives it."""
         return Volume3D(self.values[box], self.spacing, self.unit)
+
+
+@dataclass(frozen=True)
+class StoredVolume(_Grid):
+    """A volume file as stored: its (nx, ny, nz) grid, read-only and x-fastest
+    in the stored dtype (uint8, int16 or float32; `nifti.read_stored` has
+    checked every voxel finite), its spacing and unit, and the scl slope and
+    intercept that map it to values."""
+
+    grid: np.ndarray
+    spacing: tuple[float, float, float]
+    unit: IntensityUnit
+    slope: float = 1.0
+    inter: float = 0.0
+
+    _ARRAY = "grid"
+
+    @property
+    def values(self) -> np.ndarray:
+        """The voxel values exactly: the stored grid itself when the scl map is
+        the identity, else the whole grid widened to float64."""
+        if self.slope == 1.0 and self.inter == 0.0:
+            return self.grid
+        return self.widen().values
+
+    def widen(self, box: tuple[slice, slice, slice] | None = None) -> Volume3D:
+        """The float64 volume of the whole grid or of its `box`: one pass over
+        the stored values, the file's layout kept, then the scl map."""
+        grid = self.grid if box is None else self.grid[box]
+        values = grid.astype(np.float64, order="K")
+        if self.slope != 1.0 or self.inter != 0.0:
+            values *= self.slope
+            values += self.inter
+        values.flags.writeable = False
+        return Volume3D(values, self.spacing, self.unit)
 
 
 @dataclass(frozen=True)
@@ -168,13 +207,6 @@ class AcquisitionInfo:
         return self.body_weight_kg / self.injected_dose_MBq
 
 
-def _adopt(values: np.ndarray) -> np.ndarray:
-    """Mark a freshly computed, un-aliased array read-only so the Volume3D
-    constructor can take it without another defensive copy."""
-    values.flags.writeable = False
-    return values
-
-
 def to_suv(vol: Volume3D, acq: AcquisitionInfo) -> Volume3D:
     """Convert an activity-concentration volume (kBq/mL) to body-weight SUV
     (every voxel times `acq.suv_scale`)."""
@@ -182,5 +214,7 @@ def to_suv(vol: Volume3D, acq: AcquisitionInfo) -> Volume3D:
         raise IntensityUnitError(
             f"SUV conversion needs activity concentration input, got {vol.unit.value}"
         )
-    return Volume3D(_adopt(vol.values * acq.suv_scale), vol.spacing, IntensityUnit.SUV)
+    values = vol.values * acq.suv_scale
+    values.flags.writeable = False  # nothing else holds it, so Volume3D need not copy
+    return Volume3D(values, vol.spacing, IntensityUnit.SUV)
 

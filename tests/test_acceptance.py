@@ -24,7 +24,6 @@ from petquant import (
     ResponseModel,
     bce_loss,
     boxplot_summary,
-    check_pair,
     combined_loss,
     combined_loss_grad,
     delta,
@@ -48,6 +47,7 @@ from petquant import (
 )
 from petquant.cli import main
 from petquant.nifti import VOX_OFFSET
+from petquant.qc import build_record, pair_quadrants
 from petquant.volume import IntensityUnit, Volume3D
 
 from conftest import brute_force_hausdorff, mask_from_coords
@@ -201,29 +201,38 @@ def test_criterion_5_qc_parity(tmp_path):
         summary = json.loads(files["qc_summary.json"])
         assert abs(summary["threshold"] - 7.11) <= 0.05, summary["threshold"]
 
-        # worked longitudinal examples against the clinical-parity threshold
+        # worked longitudinal examples against the clinical-parity threshold, through
+        # the per-pair QC the cohort pass runs: quadrants, then the record
         thr = fixed_threshold()  # 7.11
         v64 = 0.064
-        ok = check_pair(
-            mask_from_coords([(2 + i, 2, 0) for i in range(5)], (20, 20, 4), (4.0, 4.0, 4.0)),
-            mask_from_coords([(2 + i, 2, 0) for i in range(6)], (20, 20, 4), (4.0, 4.0, 4.0)),
-            BiomarkerSet(10.0, 5.0, 5 * v64, 5 * v64 * 5.0, 5),
-            BiomarkerSet(8.0, 4.0, 6 * v64, 6 * v64 * 4.0, 6),
-            thr,
+        ok = build_record(
             "worked_ok",
+            *pair_quadrants(
+                mask_from_coords([(2 + i, 2, 0) for i in range(5)], (20, 20, 4), (4.0, 4.0, 4.0)),
+                mask_from_coords([(2 + i, 2, 0) for i in range(6)], (20, 20, 4), (4.0, 4.0, 4.0)),
+            ),
+            delta(
+                BiomarkerSet(10.0, 5.0, 5 * v64, 5 * v64 * 5.0, 5),
+                BiomarkerSet(8.0, 4.0, 6 * v64, 6 * v64 * 4.0, 6),
+            ),
+            thr,
         )
         assert ok.validated and ok.mtv_ratio == pytest.approx(6.0 / 5.0)
-        bad = check_pair(
-            mask_from_coords([(2, 2, 0)], (20, 20, 4), (4.0, 4.0, 4.0)),
-            mask_from_coords(
-                [(2 + i % 3, 2 + (i // 3) % 3, i // 9) for i in range(27)],
-                (20, 20, 4),
-                (4.0, 4.0, 4.0),
-            ),
-            BiomarkerSet(10.0, 5.0, 1 * v64, 1 * v64 * 5.0, 1),
-            BiomarkerSet(8.0, 4.0, 27 * v64, 27 * v64 * 4.0, 27),
-            thr,
+        bad = build_record(
             "worked_outlier",
+            *pair_quadrants(
+                mask_from_coords([(2, 2, 0)], (20, 20, 4), (4.0, 4.0, 4.0)),
+                mask_from_coords(
+                    [(2 + i % 3, 2 + (i // 3) % 3, i // 9) for i in range(27)],
+                    (20, 20, 4),
+                    (4.0, 4.0, 4.0),
+                ),
+            ),
+            delta(
+                BiomarkerSet(10.0, 5.0, 1 * v64, 1 * v64 * 5.0, 1),
+                BiomarkerSet(8.0, 4.0, 27 * v64, 27 * v64 * 4.0, 27),
+            ),
+            thr,
         )
         assert bad.quadrant_ok and not bad.ratio_ok and not bad.validated
         assert bad.mtv_ratio == pytest.approx(27.0)

@@ -370,6 +370,9 @@ class TestSegment:
             # a parameter the method does not use is range-checked all the same (each exited 0)
             (("--contrast-a", "7", "--max-iter", "-3"), "a must be finite and > 0 and < 1, got 7.0"),
             (("--method", "contrast", "--pct", "7"), "pct must be finite and > 0 and < 1, got 7.0"),
+            # then one the method does not use is refused (each exited 0)
+            (("--contrast-a", "0.5", "--max-iter", "3"), "a is not a parameter of method pct_suvmax"),
+            (("--method", "contrast", "--pct", "0.4"), "pct is not a parameter of method contrast"),
         ],
     )
     def test_bad_parameter_fails_before_any_file(
@@ -401,6 +404,34 @@ class TestSegment:
         assert code == 1 and json.loads(err)["message"] == "pct must be finite and > 0 and < 1, got 3.0"
         code, _, _ = run(capsys, *argv, "--pct", "0.5")  # the flag wins over the file
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            # each exited 0 with the value ignored
+            (("--contrast-a", "0.5", "--max-iter", "3"), None, "a is not a parameter of method pct_suvmax"),
+            ((), {"tol": 0.1}, "{cfg}: tol is not a parameter of method pct_suvmax"),
+            (("--method", "pct_suvmax"), {"method": "contrast", "b": 1.0}, "{cfg}: b is not a parameter of method pct_suvmax"),
+            # the flag's value, not the file's, is the one refused
+            (("--method", "contrast", "--pct", "0.4"), {"pct": 0.3}, "pct is not a parameter of method contrast"),
+        ],
+    )
+    def test_parameter_the_method_does_not_use_exits_1(
+        self, lesion_files, tmp_path, capsys, monkeypatch, flags, config, message
+    ):
+        opened = []
+        monkeypatch.setattr(nifti, "_decode", opened.append)
+        out, _ = lesion_files
+        cfg = tmp_path / "seg.json"
+        argv = ["segment", str(out / "vol.nii"), "--out", str(tmp_path / "m.nii"), *flags]
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, stdout, err = run(capsys, *argv, "--json-errors")
+        assert (code, stdout, opened) == (1, "", [])
+        payload = {"error": "validation error", "type": "ParameterError", "message": message.format(cfg=cfg)}
+        assert json.loads(err) == payload
+        assert list(tmp_path.iterdir()) == ([] if config is None else [cfg])
 
     def test_benchmark_roi_is_valid(self):
         box = _roi_box("52,52,13,92,92,53", (144, 144, 66))
@@ -785,6 +816,41 @@ class TestThreadsDefault:
         assert code == 1
         assert "PETQUANT_THREADS" in err and "--threads" in err
         assert not out.exists()
+
+
+# one mode's arguments next to the other's: the first and the compare cases
+# with --batch exited 0, ignoring --out or both positionals (missing.nii included)
+MIXED_MODES = [
+    ("segment", "{vol}", "--out", "{w}/m2.nii", "--manifest", "{manifest}", "--out-dir", "{w}/segd"),
+    ("segment", "--out", "{w}/m2.nii", "--manifest", "{manifest}", "--out-dir", "{w}/segd"),
+    ("segment", "{vol}", "--manifest", "{manifest}", "--out-dir", "{w}/segd"),
+    ("segment", "{vol}", "--out-dir", "{w}/segd"),
+    ("segment", "--manifest", "{manifest}"),
+    ("segment", "{vol}"),
+    ("compare", "{mask}", "{w}/missing.nii", "--batch", "{pairs}", "--out", "{w}/c.csv"),
+    ("compare", "{mask}", "--batch", "{pairs}", "--out", "{w}/c.csv"),
+    ("compare", "{mask}", "--out", "{w}/c.json"),
+    ("compare", "--out", "{w}/c.json"),
+]
+
+
+@pytest.mark.parametrize("argv", MIXED_MODES)
+def test_mixed_modes_are_a_usage_error(lesion_files, cohort_dir, tmp_path, capsys, monkeypatch, argv):
+    opened = []
+    monkeypatch.setattr(nifti, "_decode", opened.append)
+    out, _ = lesion_files
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"pair_id,path_a,path_b\nself,{out / 'mask.nii'},{out / 'mask.nii'}\n")
+    work = tmp_path / "w"
+    work.mkdir()
+    names = {"vol": out / "vol.nii", "mask": out / "mask.nii", "w": work, "pairs": pairs}
+    names["manifest"] = cohort_dir / "manifest.csv"
+    code, stdout, err = run(capsys, *(a.format(**names) for a in argv), "--json-errors")
+    assert (code, stdout, opened) == (1, "", [])
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "usage error"
+    assert f"{argv[0]}: needs exactly one of" in json.loads(line)["message"]
+    assert list(work.iterdir()) == []
 
 
 class TestErrorPaths:

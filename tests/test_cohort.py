@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from petquant import (
     AcquisitionInfo,
     BinaryMask,
-    EmptyRegionError,
     GeometryMismatchError,
     IntensityUnit,
     IntensityUnitError,
@@ -23,7 +22,6 @@ from petquant import (
     Volume3D,
     VolumeDataError,
     analyse_cohort,
-    check_pair,
     export_annotation_batch,
     extract,
     fixed_threshold,
@@ -45,6 +43,8 @@ from petquant.cohort import (
     write_manifest,
 )
 from petquant.nifti import encode_nifti
+from petquant.qc import pair_quadrants
+from petquant.volume import StoredVolume
 
 from conftest import mask_from_coords
 
@@ -234,10 +234,13 @@ class TestQuantifyCohort:
     def test_never_widens_a_whole_grid(self, cohort_dir, monkeypatch):
         # every volume is checked whole but widened to float64 on its mask's box only
         widened = []
-        original = nifti._to_volume
-        monkeypatch.setattr(
-            nifti, "_to_volume", lambda grid, *a: widened.append(grid.shape) or original(grid, *a)
-        )
+        original = StoredVolume.widen
+
+        def spy(stored, box=None):
+            widened.append(stored.grid.shape if box is None else stored.grid[box].shape)
+            return original(stored, box)
+
+        monkeypatch.setattr(StoredVolume, "widen", spy)
         analyse_cohort(load_manifest(cohort_dir / "manifest.csv"), threads=2)
         assert len(widened) == 2 * 8
         assert all(np.prod(shape) < np.prod(DIMS) for shape in widened), widened
@@ -377,14 +380,9 @@ def _write_regrid_cohort(out, patients):
     return manifest
 
 
-def _read_pair(out, pid):
-    """check_pair's mask and biomarker arguments for one patient of such a cohort."""
-    masks = [read_mask(out / f"{pid}_{tag}_mask.nii") for tag in ("bl", "fu")]
-    bios = [
-        extract(read_volume(out / f"{pid}_{tag}.nii", IntensityUnit.SUV), m)
-        for tag, m in zip(("bl", "fu"), masks)
-    ]
-    return (*masks, *bios)
+def _read_masks(out, pid):
+    """The baseline and follow-up masks of one patient of such a cohort."""
+    return [read_mask(out / f"{pid}_{tag}_mask.nii") for tag in ("bl", "fu")]
 
 
 class TestRunQc:
@@ -422,7 +420,7 @@ class TestRunQc:
         assert summary["threshold"] == 100.0
         assert summary["n_outliers"] == 0
 
-    def test_followup_on_finer_grid_matches_check_pair(self, tmp_path):
+    def test_followup_on_finer_grid_takes_baseline_quadrants(self, tmp_path):
         # p1's follow-up sits at x = 7..9 of 16: its own-grid centroid (x = 8) is
         # high-x, but on the baseline grid only x = 7 and 9 survive (as 3 and 4
         # of 8, centroid 3.5) -> low-x. p2's follow-up lands on x, y = 5 and 6 of
@@ -432,22 +430,17 @@ class TestRunQc:
         bl2 = [(5, 5, 1), (6, 6, 2)]
         fu2 = [(x, y, 5) for x in (11, 12, 13) for y in (11, 13)]
         manifest = _write_regrid_cohort(tmp_path, [("p1", bl1, fu1), ("p2", bl2, fu2)])
-        thr = fixed_threshold(100.0)
-        run_cohort(load_manifest(manifest), tmp_path / "qc", threshold=thr)
+        run_cohort(load_manifest(manifest), tmp_path / "qc", threshold=fixed_threshold(100.0))
         with open(tmp_path / "qc" / "qc_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         got = [(r["patient_id"], r["baseline_quadrant"], r["followup_quadrant"]) for r in rows]
         assert got == [("p1", "Q1", "Q1"), ("p2", "Q3", "Q3")]  # worked by hand
         assert rows[0]["followup_quadrant"] == "Q1"  # not the own-grid Q2
-        for pid, bl_q, fu_q in got:
-            want = check_pair(*_read_pair(tmp_path, pid), thr)
-            assert (want.baseline_quadrant.value, want.followup_quadrant.value) == (bl_q, fu_q)
 
     def test_followup_empty_after_regrid_rejected(self, tmp_path):
         # the regrid samples odd follow-up indices only, so (8, 8, 2) vanishes
         manifest = _write_regrid_cohort(tmp_path, [("p1", [(1, 1, 1)], [(8, 8, 2)])])
-        with pytest.raises(EmptyRegionError, match="vanished"):
-            check_pair(*_read_pair(tmp_path, "p1"), fixed_threshold())
+        assert pair_quadrants(*_read_masks(tmp_path, "p1"))[1] is None
         with pytest.raises(ManifestError, match="p1: empty mask"):
             run_cohort(load_manifest(manifest), tmp_path / "qc", threshold=fixed_threshold(100.0))
         with pytest.raises(ManifestError, match="p1: empty mask"):

@@ -9,17 +9,17 @@ from petquant import (
     BinaryMask,
     BiomarkerSet,
     DegenerateInputError,
-    EmptyRegionError,
     ParameterError,
     QcRecord,
     Quadrant,
     REFERENCE_RATIO_THRESHOLD,
     ThresholdDerivation,
-    check_pair,
+    delta,
     derive_threshold,
     fixed_threshold,
     select_extreme_outliers,
 )
+from petquant.qc import build_record, pair_quadrants
 
 from conftest import mask_from_coords
 
@@ -36,6 +36,11 @@ def block_mask(n_voxels, dims=(20, 20, 4), corner=(2, 2, 0)):
     for i in range(n_voxels):
         coords.append((x0 + i % side, y0 + (i // side) % side, z0 + i // (side * side)))
     return mask_from_coords(coords, dims, spacing=(4.0, 4.0, 4.0))
+
+
+def pair_qc(bl_mask, fu_mask, bl_bio, fu_bio, thr, patient_id=""):
+    """One pair's QC as the cohort pass runs it: quadrants, then the record."""
+    return build_record(patient_id, *pair_quadrants(bl_mask, fu_mask), delta(bl_bio, fu_bio), thr)
 
 
 class TestDeriveThreshold:
@@ -77,7 +82,7 @@ class TestDeriveThreshold:
 
 class TestCheckPair:
     def test_validated_six_fifths(self):
-        rec = check_pair(
+        rec = pair_qc(
             block_mask(5), block_mask(6), bio(5 * 0.064), bio(6 * 0.064), fixed_threshold(), "p1"
         )
         assert rec.quadrant_ok and rec.ratio_ok and rec.validated
@@ -85,7 +90,7 @@ class TestCheckPair:
         assert rec.outlier_score == 0.0
 
     def test_invalidated_ratio_27_to_1(self):
-        rec = check_pair(
+        rec = pair_qc(
             block_mask(1), block_mask(27), bio(1 * 0.064), bio(27 * 0.064), fixed_threshold(), "p2"
         )
         assert rec.quadrant_ok
@@ -97,38 +102,38 @@ class TestCheckPair:
     def test_invalidated_quadrant(self):
         bl = mask_from_coords([(2, 2, 0)], (20, 20, 4), spacing=(4, 4, 4))
         fu = mask_from_coords([(15, 15, 0)], (20, 20, 4), spacing=(4, 4, 4))
-        rec = check_pair(bl, fu, bio(1.0), bio(1.0), fixed_threshold(), "p3")
+        rec = pair_qc(bl, fu, bio(1.0), bio(1.0), fixed_threshold(), "p3")
         assert not rec.quadrant_ok
         assert rec.ratio_ok  # ratio 1.0 passes
         assert not rec.validated
 
     def test_threshold_equality_passes(self):
-        rec = check_pair(
+        rec = pair_qc(
             block_mask(2), block_mask(2), bio(1.0), bio(7.11), fixed_threshold(), "p4"
         )
         assert rec.ratio_ok  # exceeding is strict
 
     def test_zero_baseline_mtv_reason_code(self):
-        rec = check_pair(
+        rec = pair_qc(
             block_mask(2), block_mask(2), bio(0.0), bio(1.0), fixed_threshold(), "p5"
         )
         assert not rec.ratio_ok
         assert math.isinf(rec.mtv_ratio) and math.isinf(rec.outlier_score)
 
     def test_empty_mask_rejected(self):
+        # no quadrant: the cohort pass refuses the patient by name
         empty = BinaryMask(np.zeros((4, 4, 4), bool), (4, 4, 4))
-        with pytest.raises(EmptyRegionError):
-            check_pair(empty, block_mask(2), bio(1.0), bio(1.0), fixed_threshold())
+        assert pair_quadrants(empty, block_mask(2))[0] is None
 
     def test_differing_dims_regridded(self):
         bl = mask_from_coords([(2, 2, 0)], (20, 20, 4), spacing=(4, 4, 4))
         fu = mask_from_coords([(5, 5, 1)], (40, 40, 8), spacing=(2, 2, 2))
-        rec = check_pair(bl, fu, bio(1.0), bio(1.0), fixed_threshold(), "p6")
+        rec = pair_qc(bl, fu, bio(1.0), bio(1.0), fixed_threshold(), "p6")
         assert rec.quadrant_ok  # both low/low after regridding
 
     def test_deterministic(self):
         args = (block_mask(5), block_mask(6), bio(0.32), bio(0.384), fixed_threshold(), "p7")
-        assert check_pair(*args) == check_pair(*args)
+        assert pair_qc(*args) == pair_qc(*args)
 
 
 class TestSelectExtreme:
@@ -175,7 +180,7 @@ class TestSelectExtreme:
         thr = fixed_threshold(2.0)
         for _ in range(50):
             mtv_bl, mtv_fu = rng.random(2) * 5 + 0.01
-            rec = check_pair(block_mask(3), block_mask(4), bio(mtv_bl), bio(mtv_fu), thr)
+            rec = pair_qc(block_mask(3), block_mask(4), bio(mtv_bl), bio(mtv_fu), thr)
             assert rec.ratio_ok == (rec.mtv_ratio <= thr.value)
             assert (rec.outlier_score > 0) == (not rec.ratio_ok)
             assert rec.outlier_score == max(0.0, rec.mtv_ratio - thr.value)

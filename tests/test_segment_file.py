@@ -1,6 +1,6 @@
 """`segment` on volume files: the stored-dtype threshold and the ROI crop.
 
-`threshold_pct_suvmax` on a file's stored grid (`nifti.StoredVolume`) must
+`threshold_pct_suvmax` on a file's stored grid (`volume.StoredVolume`) must
 give the widen-then-compare mask (`conftest.naive_pct_threshold`) bit for
 bit, and `segment` must write the masks that thresholding the whole widened
 grid gives, while widening nothing, or only the ROI's box.
@@ -32,8 +32,9 @@ from petquant import (
     threshold_pct_suvmax,
 )
 from petquant import cli, nifti, volume
-from petquant.nifti import StoredVolume, encode_nifti
+from petquant.nifti import encode_nifti
 from petquant.segment import BACKGROUND_SHELL_GAP, segment_stored
+from petquant.volume import StoredVolume
 
 from conftest import naive_pct_threshold
 
@@ -117,7 +118,7 @@ class TestStoredThreshold:
 
     def test_unscaled_grid_is_compared_as_stored(self, monkeypatch):
         # the identity map never builds a float64 Volume3D
-        monkeypatch.setattr(nifti, "_to_volume", lambda *a: pytest.fail("widened"))
+        monkeypatch.setattr(StoredVolume, "widen", lambda *a: pytest.fail("widened"))
         grid = np.arange(24, dtype="<i2").reshape(4, 3, 2)
         vol = StoredVolume(grid, SPACING, IntensityUnit.ARBITRARY)
         assert threshold_pct_suvmax(vol, None, 0.5).voxel_count == 12
@@ -189,7 +190,9 @@ class TestSegmentFile:
         path = tmp_path_factory.mktemp("seg") / "v.nii"
         _write(path, grid, datatype, *scale)
         out = path.with_name("m.nii")
-        argv = ["segment", path, "--out", out, "--method", method, "--pct", pct]
+        argv = ["segment", path, "--out", out, "--method", method]
+        if method == "pct_suvmax":  # the contrast rule refuses a pct
+            argv += ["--pct", pct]
         if roi is not None:
             argv += ["--roi", ",".join(map(str, roi))]
         code, stdout = run_cli(*argv)
@@ -219,17 +222,17 @@ class TestSegmentFile:
     def widened(self, monkeypatch):
         """Shapes of every float64 grid made: each widening and each Volume3D."""
         shapes = []
-        to_volume, post_init = nifti._to_volume, volume.Volume3D.__post_init__
+        widen, post_init = StoredVolume.widen, volume.Volume3D.__post_init__
 
-        def spy_to_volume(grid, *args):
-            shapes.append(("widen", grid.shape))
-            return to_volume(grid, *args)
+        def spy_widen(stored, box=None):
+            shapes.append(("widen", (stored.grid if box is None else stored.grid[box]).shape))
+            return widen(stored, box)
 
         def spy_post_init(self):
             shapes.append(("Volume3D", self.values.shape))
             post_init(self)
 
-        monkeypatch.setattr(nifti, "_to_volume", spy_to_volume)
+        monkeypatch.setattr(StoredVolume, "widen", spy_widen)
         monkeypatch.setattr(volume.Volume3D, "__post_init__", spy_post_init)
         monkeypatch.setattr(nifti, "read_volume", lambda *a: pytest.fail("read_volume"))
         return shapes

@@ -12,8 +12,12 @@ foreground bounding box (`mask.bounding_box`) and one pipeline volume reader
 `cohort.extract_file` go through; only it calls `nifti._decode`) and one cohort
 writer (`cohort.run_cohort`, the only caller of `analyse_cohort` and
 `_write_files`, for both `qc` and `report`) and one pair-quadrant rule
-(`qc.pair_quadrants`, the only caller of `regrid_nearest`); new call sites use
-those instead of copies.
+(`qc.pair_quadrants`, the only caller of `regrid_nearest`) and one per-pair
+QC path (`qc.pair_quadrants` in `cohort._quantify_one`, then `qc.build_record`
+in `cohort.analyse_cohort`) and one volume module (`volume.py` defines both
+`Volume3D` and `StoredVolume`, so no module imports either under
+`TYPE_CHECKING`) and one NIfTI write path (`nifti._write`, the only caller of
+`encode_nifti` in `nifti.py`); new call sites use those instead of copies.
 
 The package's public names are its imports: `petquant.__all__` is derived
 from them, not restated.
@@ -488,7 +492,7 @@ def test_one_file_writer():
     for fn in ("write_mask", "generate_cohort", "export_annotation_batch"):
         (node,) = [n for _, n in _nodes() if isinstance(n, ast.FunctionDef) and n.name == fn]
         calls = {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
-        assert calls & {"write_bytes_atomic", "write_mask", "write_volume"}, (fn, calls)
+        assert calls & {"write_bytes_atomic", "_write", "write_mask", "write_volume"}, (fn, calls)
 
 
 def test_no_environment_switches():
@@ -500,3 +504,30 @@ def test_no_environment_switches():
     ]
     assert [w.split(":")[0] for w, _ in hits] == ["cli.py"], hits
     assert "PETQUANT_THREADS" in (SRC / "cli.py").read_text()
+
+
+def test_one_per_pair_qc_path():
+    # check_pair once restated, for tests only, what the cohort pass does per pair
+    assert _callers("build_record") == ["cohort.py:analyse_cohort"], _callers("build_record")
+    assert _callers("pair_quadrants") == ["cohort.py:_quantify_one"], _callers("pair_quadrants")
+    hits = [p.name for p in SRC.glob("*.py") if "check_pair" in p.read_text()]
+    assert hits == [], hits
+
+
+def test_one_volume_module():
+    # StoredVolume once lived in nifti.py, so segment and biomarkers could only
+    # name it under TYPE_CHECKING
+    classes = {
+        node.name: where.split(":")[0]
+        for where, node in _nodes()
+        if isinstance(node, ast.ClassDef) and node.name in ("Volume3D", "StoredVolume")
+    }
+    assert classes == {"Volume3D": "volume.py", "StoredVolume": "volume.py"}, classes
+    hits = [p.name for p in SRC.glob("*.py") if "TYPE_CHECKING" in p.read_text()]
+    assert hits == [], hits
+
+
+def test_one_nifti_write_path():
+    # write_mask once encoded and wrote its own NIfTI beside _write
+    callers = [c for c in _callers("encode_nifti") if c.startswith("nifti.py:")]
+    assert callers == ["nifti.py:_write"], callers
